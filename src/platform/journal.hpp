@@ -3,14 +3,12 @@
 // appends one self-contained block holding the round's report plus the full
 // state needed to resume — fleet positions, the 256-bit RNG state, and the
 // reputation ledger — so a killed campaign restarts from the last journaled
-// round and replays to a state bit-identical to an uninterrupted run
-// (doubles are written with %.17g and round-trip exactly).
+// round and replays to a state bit-identical to an uninterrupted run.
 //
-// Format, following the auction::io text conventions ('#' comments and blank
-// lines ignored; the `config` and `error` directives instead take the raw
-// remainder of their line, since captured exception text may contain
-// anything — though serialization flattens newlines in error text to spaces,
-// so a block can never be torn open by the message it carries):
+// This file is only the payload codec. The framing — header, `config`
+// fingerprint, torn-tail recovery, the writer and the resume sequence — is
+// common/block_log.hpp, shared with the service journal. One `round` block
+// per round:
 //
 //     mcs-journal-v1
 //     config seed=77 tasks=6 ...        # fingerprint of the journaling run
@@ -25,6 +23,7 @@
 //     mean_required_pos 0.6
 //     mean_achieved_pos 0.71
 //     winning_taxis 2 14 37          # count, then taxi ids
+//     telemetry <14 fields>          # only when telemetry was on
 //     error <raw text>               # only present when non-empty
 //     positions 50 102 97 ...        # count, then one cell per fleet taxi
 //     rng 123 456 789 1011           # xoshiro256** state words
@@ -32,30 +31,22 @@
 //     rep 14 3 2.1 0.63 2            # taxi rounds expected variance realized
 //     end round 0
 //
-// A block is only valid once its newline-terminated `end round N` line is
-// present, so a torn tail (the process died mid-append) is detected and
-// dropped on replay; corruption BEFORE the last complete block throws
-// instead. Resuming truncates the file to the valid prefix before appending,
-// so a torn tail can never merge with the re-run rounds written after it.
-//
 // The `config` line fingerprints the campaign knobs that determine each
-// round's outcome (seed, task/bidder counts, alpha, budget, ...). Resume
-// refuses a journal whose fingerprint differs from the resuming campaign's:
-// splicing rounds journaled under one configuration into a campaign run
-// under another would silently void the bit-identical-resume guarantee. The
-// round count is deliberately not part of the fingerprint — resuming with a
-// larger `rounds` than the killed run is exactly how a campaign continues.
+// round's outcome (seed, task/bidder counts, alpha, budget, ...), so resume
+// refuses a journal written under another configuration. The round count is
+// deliberately not part of the fingerprint — resuming with a larger
+// `rounds` than the killed run is exactly how a campaign continues.
 #pragma once
 
 #include <array>
 #include <cstddef>
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/block_log.hpp"
 #include "platform/platform.hpp"
 
 namespace mcs::platform {
@@ -70,10 +61,8 @@ struct JournalEntry {
   std::vector<std::pair<trace::TaxiId, ReputationRecord>> reputation;
 };
 
-/// Serializes one entry as a journal block (without the file header).
-/// Newlines inside the error text are flattened to spaces — the format is
-/// line-oriented, and a raw '\n' would terminate the directive early and
-/// corrupt every block after it.
+/// Serializes one entry as a journal block (without the file header), with
+/// newlines in the error text flattened to spaces.
 std::string to_text(const JournalEntry& entry);
 
 /// The campaign-config fingerprint written as the journal's `config` line.
@@ -81,22 +70,19 @@ std::string to_text(const JournalEntry& entry);
 /// the format notes above) and `journal_path` itself.
 std::string config_fingerprint(const CampaignConfig& config);
 
-/// A parsed journal: the complete entries, plus what resume needs to append
-/// safely after a crash.
+/// A parsed journal: the complete entries plus the framing facts.
 struct ReplayedJournal {
   std::vector<JournalEntry> entries;
-  /// Byte length of the valid prefix — header, `config` line, and every
-  /// complete block. Anything past it is a torn tail from a crashed append;
-  /// resume truncates the file here before appending new rounds.
+  /// Byte length of the valid prefix; anything past it is a torn tail.
   std::size_t valid_bytes = 0;
-  /// Raw `config` fingerprint recorded when the journal was created; empty
-  /// when the journal has none.
+  /// Raw `config` fingerprint; empty when the journal has none.
   std::string config;
 };
 
 /// Parses a full journal file's text. Throws PreconditionError (with the
 /// offending line number) on a bad header or corruption before the last
-/// complete block; an incomplete trailing block is silently dropped.
+/// complete block; an incomplete trailing block is silently dropped. Round
+/// ids need not start at 0 here; resuming requires them to.
 ReplayedJournal parse_journal(const std::string& text);
 
 /// Convenience wrapper around parse_journal returning just the entries.
@@ -110,20 +96,20 @@ ReplayedJournal load_journal(const std::filesystem::path& path);
 /// Convenience wrapper around load_journal returning just the entries.
 std::vector<JournalEntry> replay_journal(const std::filesystem::path& path);
 
-/// Appends entries to a journal file, creating it (with the format header
-/// and, when non-empty, the `config` fingerprint line) when absent or empty.
-/// Each append is flushed before returning, so the journal never lags the
-/// campaign by more than the block being written.
+/// Appends entries to a journal file. Construction runs the block-log
+/// resume sequence: it refuses a journal written under another fingerprint,
+/// truncates a torn tail, and writes whatever header and `config` line the
+/// file lacks. When `replayed` is non-null it receives the parsed journal.
 class JournalWriter {
  public:
   explicit JournalWriter(const std::filesystem::path& path,
-                         const std::string& config_fingerprint = {});
+                         const std::string& config_fingerprint = {},
+                         ReplayedJournal* replayed = nullptr);
 
   void append(const JournalEntry& entry);
 
  private:
-  std::filesystem::path path_;
-  std::ofstream out_;
+  common::BlockLogWriter writer_;
 };
 
 }  // namespace mcs::platform

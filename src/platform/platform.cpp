@@ -119,19 +119,10 @@ CampaignReport Platform::run_campaign() {
     // the platform state captured after the last one. The replayed rounds
     // are bit-identical to what an uninterrupted run produced, because the
     // journal stores every double at full precision.
-    const auto replayed = load_journal(config_.journal_path);
-    const auto fingerprint = config_fingerprint(config_);
-    if (replayed.config.empty()) {
-      MCS_EXPECTS(replayed.entries.empty(),
-                  "campaign journal has rounds but no config fingerprint");
-    } else {
-      MCS_EXPECTS(replayed.config == fingerprint,
-                  "campaign journal was written under a different campaign "
-                  "configuration; resuming would splice incompatible rounds");
-    }
-    for (std::size_t k = 0; k < replayed.entries.size(); ++k) {
-      const auto& entry = replayed.entries[k];
-      MCS_EXPECTS(entry.report.round == k, "campaign journal rounds are not contiguous");
+    ReplayedJournal replayed;
+    journal = std::make_unique<JournalWriter>(config_.journal_path, config_fingerprint(config_),
+                                              &replayed);
+    for (const auto& entry : replayed.entries) {
       accumulate(report, entry.report);
       report.rounds.push_back(entry.report);
     }
@@ -147,14 +138,6 @@ CampaignReport Platform::run_campaign() {
       }
       start_round = last.report.round + 1;
     }
-    // Drop any torn tail before appending: the re-run rounds must follow the
-    // last complete block, or the next replay would meet the torn `begin`
-    // with complete blocks after it and reject the whole journal.
-    if (std::filesystem::exists(config_.journal_path) &&
-        std::filesystem::file_size(config_.journal_path) > replayed.valid_bytes) {
-      std::filesystem::resize_file(config_.journal_path, replayed.valid_bytes);
-    }
-    journal = std::make_unique<JournalWriter>(config_.journal_path, fingerprint);
   }
   for (std::size_t round = start_round; round < config_.rounds; ++round) {
     const double budget_left = config_.budget - report.total_payout;

@@ -1,269 +1,152 @@
 #include "service/journal.hpp"
 
-#include <charconv>
-#include <cstdio>
-#include <limits>
 #include <sstream>
-#include <string_view>
-
-#include "common/check.hpp"
 
 namespace mcs::service {
 
 namespace {
 
-constexpr const char* kHeader = "mcs-service-journal-v1";
+constexpr common::BlockLogFormat kFormat{"mcs-service-journal-v1", "service journal"};
 
-std::string format_double(double value) {
-  char buffer[64];
-  // %.17g round-trips every double exactly — replayed outcomes are
-  // bit-identical to the computed ones.
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  return buffer;
-}
+using common::BlockLogLine;
+using common::BlockReader;
+using common::format_double;
 
-[[noreturn]] void fail(std::size_t line_number, const std::string& message) {
-  throw common::PreconditionError("service journal, line " + std::to_string(line_number) + ": " +
-                                  message);
-}
-
-struct Line {
-  std::size_t number = 0;
-  std::vector<std::string> tokens;
-  std::string raw_text;  ///< only for the `config` and `error` directives
-  std::size_t end_offset = 0;
-  bool terminated = false;  ///< false on a torn (no trailing '\n') last line
-};
-
-std::vector<Line> meaningful_lines(const std::string& text) {
-  std::vector<Line> lines;
-  std::size_t number = 0;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    ++number;
-    const auto newline = text.find('\n', pos);
-    const bool terminated = newline != std::string::npos;
-    const std::size_t end_offset = terminated ? newline + 1 : text.size();
-    std::string raw = text.substr(pos, (terminated ? newline : text.size()) - pos);
-    pos = end_offset;
-    if (!raw.empty() && raw.back() == '\r') {
-      raw.pop_back();
-    }
-    const auto first = raw.find_first_not_of(" \t");
-    if (first == std::string::npos || raw[first] == '#') {
-      continue;
-    }
-    const auto first_end = raw.find_first_of(" \t", first);
-    const std::string keyword = raw.substr(first, first_end - first);
-    Line line;
-    line.number = number;
-    line.end_offset = end_offset;
-    line.terminated = terminated;
-    if (keyword == "error" || keyword == "config") {
-      const auto value = raw.find_first_not_of(" \t", first_end);
-      line.tokens = {keyword};
-      line.raw_text = value == std::string::npos ? "" : raw.substr(value);
-    } else {
-      std::string body = raw;
-      const auto comment = body.find('#');
-      if (comment != std::string::npos) {
-        body.resize(comment);
-      }
-      std::istringstream fields(body);
-      std::string token;
-      while (fields >> token) {
-        line.tokens.push_back(std::move(token));
-      }
-    }
-    lines.push_back(std::move(line));
-  }
-  return lines;
-}
-
-double parse_double(const std::string& token, std::size_t line_number) {
-  double value{};
-  const char* begin = token.data();
-  const char* end = begin + token.size();
-  const auto [ptr, ec] = std::from_chars(begin, end, value);
-  if (ec != std::errc() || ptr != end) {
-    fail(line_number, "malformed number '" + token + "'");
-  }
-  return value;
-}
-
-std::uint64_t parse_u64(const std::string& token, std::size_t line_number) {
-  std::uint64_t value{};
-  const char* begin = token.data();
-  const char* end = begin + token.size();
-  const auto [ptr, ec] = std::from_chars(begin, end, value);
-  if (ec != std::errc() || ptr != end) {
-    fail(line_number, "malformed count '" + token + "'");
-  }
-  return value;
-}
-
-std::int32_t parse_i32(const std::string& token, std::size_t line_number) {
-  std::int64_t value{};
-  const char* begin = token.data();
-  const char* end = begin + token.size();
-  const auto [ptr, ec] = std::from_chars(begin, end, value);
-  if (ec != std::errc() || ptr != end || value < std::numeric_limits<std::int32_t>::min() ||
-      value > std::numeric_limits<std::int32_t>::max()) {
-    fail(line_number, "malformed id '" + token + "'");
-  }
-  return static_cast<std::int32_t>(value);
-}
-
-auction::AuctionStatus parse_status(const std::string& token, std::size_t line_number) {
+auction::AuctionStatus parse_status(BlockReader& body) {
+  const BlockLogLine& line = body.expect("status");
+  body.expect_tokens(line, 2, "status <value>");
   for (const auto status :
        {auction::AuctionStatus::kOk, auction::AuctionStatus::kDegraded,
         auction::AuctionStatus::kTimedOut, auction::AuctionStatus::kFailed}) {
-    if (token == auction::to_string(status)) {
+    if (line.tokens[1] == auction::to_string(status)) {
       return status;
     }
   }
-  fail(line_number, "unknown status '" + token + "'");
+  body.fail(line, "unknown status '" + line.tokens[1] + "'");
 }
 
-std::string flatten_newlines(std::string text) {
-  for (char& c : text) {
-    if (c == '\n' || c == '\r') {
-      c = ' ';
-    }
+/// The optional trailing `error` line.
+std::string parse_error(BlockReader& body) {
+  if (body.at_end() || body.peek().tokens.front() != "error") {
+    return {};
   }
-  return text;
+  return body.next().raw_text;
 }
 
-/// Cursor over the meaningful lines of one block.
-class BlockReader {
- public:
-  BlockReader(const std::vector<Line>& lines, std::size_t index) : lines_(lines), index_(index) {}
-
-  std::size_t index() const { return index_; }
-  bool at_end() const { return index_ >= lines_.size(); }
-  const Line& peek() const { return lines_[index_]; }
-
-  const Line& expect(const std::string& keyword) {
-    if (at_end()) {
-      fail(lines_.empty() ? 1 : lines_.back().number + 1, "expected '" + keyword + "'");
-    }
-    const Line& line = lines_[index_++];
-    if (line.tokens.front() != keyword) {
-      fail(line.number, "expected '" + keyword + "', found '" + line.tokens.front() + "'");
-    }
-    return line;
+ServiceJournalRecord parse_round_body(BlockReader& body, std::uint64_t id) {
+  ServiceJournalRecord record;
+  record.round = id;
+  record.status = parse_status(body);
+  record.users = body.expect_count("users");
+  record.tasks = body.expect_count("tasks");
+  record.shards_run = body.expect_count("shards_run");
+  record.straddlers = body.expect_count("straddlers");
+  record.outcome.allocation.feasible = body.single_flag(body.expect("feasible"));
+  record.outcome.degraded = body.single_flag(body.expect("degraded"));
+  record.outcome.allocation.winners = body.id_list(body.expect("winners"));
+  record.outcome.allocation.total_cost = body.single_number(body.expect("total_cost"));
+  record.outcome.uncovered_tasks = body.id_list(body.expect("uncovered"));
+  const std::size_t reward_count = body.expect_count("rewards");
+  for (std::size_t k = 0; k < reward_count; ++k) {
+    const BlockLogLine& line = body.expect("reward");
+    body.expect_tokens(line, 6, "reward <user> <q> <p> <cost> <alpha>");
+    auction::WinnerReward reward;
+    reward.user = body.id(line, 1);
+    reward.critical_contribution = body.number(line, 2);
+    reward.reward.critical_pos = body.number(line, 3);
+    reward.reward.cost = body.number(line, 4);
+    reward.reward.alpha = body.number(line, 5);
+    record.outcome.rewards.push_back(reward);
   }
-
-  std::size_t expect_count(const std::string& keyword) {
-    const Line& line = expect(keyword);
-    if (line.tokens.size() < 2) {
-      fail(line.number, "expected '" + keyword + " <count> ...'");
-    }
-    return static_cast<std::size_t>(parse_u64(line.tokens[1], line.number));
-  }
-
- private:
-  const std::vector<Line>& lines_;
-  std::size_t index_;
-};
-
-bool parse_flag(const Line& line) {
-  if (line.tokens.size() != 2 || (line.tokens[1] != "0" && line.tokens[1] != "1")) {
-    fail(line.number, "expected '" + line.tokens.front() + " 0|1'");
-  }
-  return line.tokens[1] == "1";
+  record.error = parse_error(body);
+  return record;
 }
 
-/// Parses one epoch block's body (everything between `begin epoch N` and its
-/// `end` line, exclusive).
-ServiceEpochRecord parse_epoch_body(BlockReader& reader, const Line& begin) {
+ServiceEpochRecord parse_epoch_body(BlockReader& body, std::uint64_t id) {
   ServiceEpochRecord record;
-  record.epoch = parse_u64(begin.tokens[2], begin.number);
-  {
-    const Line& line = reader.expect("status");
-    if (line.tokens.size() != 2) {
-      fail(line.number, "expected 'status <value>'");
-    }
-    record.status = parse_status(line.tokens[1], line.number);
-  }
-  const std::size_t arrival_count = reader.expect_count("arrivals");
+  record.epoch = id;
+  record.status = parse_status(body);
+  const std::size_t arrival_count = body.expect_count("arrivals");
   for (std::size_t k = 0; k < arrival_count; ++k) {
-    const Line& line = reader.expect("arrival");
-    if (line.tokens.size() != 4) {
-      fail(line.number, "expected 'arrival <user> <cost> <pos>'");
-    }
+    const BlockLogLine& line = body.expect("arrival");
+    body.expect_tokens(line, 4, "arrival <user> <cost> <pos>");
     auction::online::Arrival arrival;
-    arrival.user = parse_i32(line.tokens[1], line.number);
-    arrival.bid.cost = parse_double(line.tokens[2], line.number);
-    arrival.bid.pos = parse_double(line.tokens[3], line.number);
+    arrival.user = body.id(line, 1);
+    arrival.bid.cost = body.number(line, 2);
+    arrival.bid.pos = body.number(line, 3);
     record.arrivals.push_back(arrival);
   }
-  record.outcome.sample_size = reader.expect_count("sample");
-  record.outcome.threshold_updates = reader.expect_count("updates");
-  const std::size_t decision_count = reader.expect_count("decisions");
+  record.outcome.sample_size = body.expect_count("sample");
+  record.outcome.threshold_updates = body.expect_count("updates");
+  const std::size_t decision_count = body.expect_count("decisions");
   for (std::size_t k = 0; k < decision_count; ++k) {
-    const Line& line = reader.expect("decision");
-    if (line.tokens.size() != 12) {
-      fail(line.number,
-           "expected 'decision <arrival> <user> sample|accept <stage> 0|1 "
-           "<threshold> <qbar> <pbar> <cost> <alpha> <remaining>'");
-    }
+    const BlockLogLine& line = body.expect("decision");
+    body.expect_tokens(line, 12,
+                       "decision <arrival> <user> sample|accept <stage> 0|1 "
+                       "<threshold> <qbar> <pbar> <cost> <alpha> <remaining>");
     auction::online::ArrivalDecision decision;
-    decision.arrival = static_cast<std::size_t>(parse_u64(line.tokens[1], line.number));
-    decision.user = parse_i32(line.tokens[2], line.number);
+    decision.arrival = static_cast<std::size_t>(body.count(line, 1));
+    decision.user = body.id(line, 2);
     if (line.tokens[3] == "sample") {
       decision.phase = auction::online::ArrivalPhase::kSample;
     } else if (line.tokens[3] == "accept") {
       decision.phase = auction::online::ArrivalPhase::kAccept;
     } else {
-      fail(line.number, "unknown arrival phase '" + line.tokens[3] + "'");
+      body.fail(line, "unknown arrival phase '" + line.tokens[3] + "'");
     }
-    decision.stage = static_cast<std::size_t>(parse_u64(line.tokens[4], line.number));
-    if (line.tokens[5] != "0" && line.tokens[5] != "1") {
-      fail(line.number, "expected accepted flag 0|1");
-    }
-    decision.accepted = line.tokens[5] == "1";
-    decision.threshold = parse_double(line.tokens[6], line.number);
-    decision.critical_contribution = parse_double(line.tokens[7], line.number);
-    decision.reward.critical_pos = parse_double(line.tokens[8], line.number);
-    decision.reward.cost = parse_double(line.tokens[9], line.number);
-    decision.reward.alpha = parse_double(line.tokens[10], line.number);
-    decision.budget_remaining = parse_double(line.tokens[11], line.number);
+    decision.stage = static_cast<std::size_t>(body.count(line, 4));
+    decision.accepted = body.flag(line, 5);
+    decision.threshold = body.number(line, 6);
+    decision.critical_contribution = body.number(line, 7);
+    decision.reward.critical_pos = body.number(line, 8);
+    decision.reward.cost = body.number(line, 9);
+    decision.reward.alpha = body.number(line, 10);
+    decision.budget_remaining = body.number(line, 11);
     record.outcome.decisions.push_back(decision);
   }
   {
-    const Line& line = reader.expect("totals");
-    if (line.tokens.size() != 6) {
-      fail(line.number, "expected 'totals <cost> <worst_case> <q> <pos> 0|1'");
-    }
-    record.outcome.total_cost = parse_double(line.tokens[1], line.number);
-    record.outcome.worst_case_payout = parse_double(line.tokens[2], line.number);
-    record.outcome.achieved_contribution = parse_double(line.tokens[3], line.number);
-    record.outcome.achieved_pos = parse_double(line.tokens[4], line.number);
-    if (line.tokens[5] != "0" && line.tokens[5] != "1") {
-      fail(line.number, "expected requirement-met flag 0|1");
-    }
-    record.outcome.requirement_met = line.tokens[5] == "1";
+    const BlockLogLine& line = body.expect("totals");
+    body.expect_tokens(line, 6, "totals <cost> <worst_case> <q> <pos> 0|1");
+    record.outcome.total_cost = body.number(line, 1);
+    record.outcome.worst_case_payout = body.number(line, 2);
+    record.outcome.achieved_contribution = body.number(line, 3);
+    record.outcome.achieved_pos = body.number(line, 4);
+    record.outcome.requirement_met = body.flag(line, 5);
   }
-  {
-    const Line& line = reader.expect("winners");
-    if (line.tokens.size() < 2) {
-      fail(line.number, "expected 'winners <count> <ids>...'");
-    }
-    const auto count = parse_u64(line.tokens[1], line.number);
-    if (line.tokens.size() != count + 2) {
-      fail(line.number, "winner count does not match the listed ids");
-    }
-    for (std::size_t k = 0; k < count; ++k) {
-      record.outcome.winners.push_back(parse_i32(line.tokens[k + 2], line.number));
-    }
-  }
+  record.outcome.winners = body.id_list(body.expect("winners"));
   record.outcome.accepted = record.outcome.winners.size();
-  if (!reader.at_end() && reader.peek().tokens.front() == "error") {
-    record.error = reader.peek().raw_text;
-    reader.expect("error");
-  }
+  record.error = parse_error(body);
   return record;
+}
+
+/// Parses `round` and `epoch` blocks into `journal`.
+common::BlockParser record_parser(ReplayedServiceJournal& journal) {
+  return [&journal](const std::string& kind, std::uint64_t id, BlockReader& body) {
+    if (kind == "round") {
+      auto record = parse_round_body(body, id);
+      body.expect_done();
+      journal.records.push_back(std::move(record));
+    } else if (kind == "epoch") {
+      auto record = parse_epoch_body(body, id);
+      body.expect_done();
+      journal.epochs.push_back(std::move(record));
+    } else {
+      body.fail("unknown block kind '" + kind + "'");
+    }
+  };
+}
+
+/// The block-log resume sequence; the parsed journal lands in `replayed`
+/// when it is non-null.
+common::BlockLogWriter resume(const std::filesystem::path& path, const std::string& fingerprint,
+                              ReplayedServiceJournal* replayed) {
+  ReplayedServiceJournal discarded;
+  ReplayedServiceJournal& out = replayed != nullptr ? *replayed : discarded;
+  common::BlockLogPrefix prefix;
+  auto writer = common::resume_block_log(kFormat, path, fingerprint, record_parser(out), prefix);
+  out.valid_bytes = prefix.valid_bytes;
+  out.config = std::move(prefix.config);
+  return writer;
 }
 
 }  // namespace
@@ -296,7 +179,7 @@ std::string to_text(const ServiceJournalRecord& record) {
         << ' ' << format_double(reward.reward.alpha) << "\n";
   }
   if (!record.error.empty()) {
-    out << "error " << flatten_newlines(record.error) << "\n";
+    out << "error " << common::flatten_newlines(record.error) << "\n";
   }
   out << "end round " << record.round << "\n";
   return out.str();
@@ -335,200 +218,29 @@ std::string to_text(const ServiceEpochRecord& record) {
   }
   out << "\n";
   if (!record.error.empty()) {
-    out << "error " << flatten_newlines(record.error) << "\n";
+    out << "error " << common::flatten_newlines(record.error) << "\n";
   }
   out << "end epoch " << record.epoch << "\n";
   return out.str();
 }
 
 ReplayedServiceJournal parse_service_journal(const std::string& text) {
-  const auto lines = meaningful_lines(text);
-  if (lines.empty()) {
-    // Empty (or comment-only) file: an empty journal, not corruption — a
-    // writer that died before its first byte left nothing to recover.
-    return {};
-  }
-  if (lines.front().tokens.size() != 1 || lines.front().tokens.front() != kHeader) {
-    // A write torn inside the very first line leaves an unterminated strict
-    // prefix of the header — a torn tail to drop, not corruption to throw.
-    if (lines.size() == 1 && !lines.front().terminated && lines.front().tokens.size() == 1 &&
-        std::string_view(kHeader).starts_with(lines.front().tokens.front())) {
-      return {};
-    }
-    fail(lines.front().number, "missing mcs-service-journal-v1 header");
-  }
-  ReplayedServiceJournal result;
-  if (!lines.front().terminated) {
-    return result;  // torn header write: nothing valid yet
-  }
-  result.valid_bytes = lines.front().end_offset;
-  std::size_t i = 1;
-  if (i < lines.size() && lines[i].tokens.front() == "config") {
-    if (!lines[i].terminated) {
-      return result;
-    }
-    result.config = lines[i].raw_text;
-    result.valid_bytes = lines[i].end_offset;
-    ++i;
-  }
-  while (i < lines.size()) {
-    BlockReader reader(lines, i);
-    ServiceJournalRecord record;
-    ServiceEpochRecord epoch;
-    bool is_epoch = false;
-    bool complete = true;
-    try {
-      const Line& begin = reader.expect("begin");
-      if (begin.tokens.size() != 3 ||
-          (begin.tokens[1] != "round" && begin.tokens[1] != "epoch")) {
-        fail(begin.number, "expected 'begin round <n>' or 'begin epoch <n>'");
-      }
-      is_epoch = begin.tokens[1] == "epoch";
-      if (is_epoch) {
-        epoch = parse_epoch_body(reader, begin);
-      } else {
-      record.round = parse_u64(begin.tokens[2], begin.number);
-      {
-        const Line& line = reader.expect("status");
-        if (line.tokens.size() != 2) {
-          fail(line.number, "expected 'status <value>'");
-        }
-        record.status = parse_status(line.tokens[1], line.number);
-      }
-      record.users = reader.expect_count("users");
-      record.tasks = reader.expect_count("tasks");
-      record.shards_run = reader.expect_count("shards_run");
-      record.straddlers = reader.expect_count("straddlers");
-      record.outcome.allocation.feasible = parse_flag(reader.expect("feasible"));
-      record.outcome.degraded = parse_flag(reader.expect("degraded"));
-      {
-        const Line& line = reader.expect("winners");
-        if (line.tokens.size() < 2) {
-          fail(line.number, "expected 'winners <count> <ids>...'");
-        }
-        const auto count = parse_u64(line.tokens[1], line.number);
-        if (line.tokens.size() != count + 2) {
-          fail(line.number, "winner count does not match the listed ids");
-        }
-        for (std::size_t k = 0; k < count; ++k) {
-          record.outcome.allocation.winners.push_back(parse_i32(line.tokens[k + 2], line.number));
-        }
-      }
-      {
-        const Line& line = reader.expect("total_cost");
-        if (line.tokens.size() != 2) {
-          fail(line.number, "expected 'total_cost <value>'");
-        }
-        record.outcome.allocation.total_cost = parse_double(line.tokens[1], line.number);
-      }
-      {
-        const Line& line = reader.expect("uncovered");
-        if (line.tokens.size() < 2) {
-          fail(line.number, "expected 'uncovered <count> <tasks>...'");
-        }
-        const auto count = parse_u64(line.tokens[1], line.number);
-        if (line.tokens.size() != count + 2) {
-          fail(line.number, "uncovered count does not match the listed tasks");
-        }
-        for (std::size_t k = 0; k < count; ++k) {
-          record.outcome.uncovered_tasks.push_back(parse_i32(line.tokens[k + 2], line.number));
-        }
-      }
-      const std::size_t reward_count = reader.expect_count("rewards");
-      for (std::size_t k = 0; k < reward_count; ++k) {
-        const Line& line = reader.expect("reward");
-        if (line.tokens.size() != 6) {
-          fail(line.number, "expected 'reward <user> <q> <p> <cost> <alpha>'");
-        }
-        auction::WinnerReward reward;
-        reward.user = parse_i32(line.tokens[1], line.number);
-        reward.critical_contribution = parse_double(line.tokens[2], line.number);
-        reward.reward.critical_pos = parse_double(line.tokens[3], line.number);
-        reward.reward.cost = parse_double(line.tokens[4], line.number);
-        reward.reward.alpha = parse_double(line.tokens[5], line.number);
-        record.outcome.rewards.push_back(reward);
-      }
-      if (!reader.at_end() && reader.peek().tokens.front() == "error") {
-        record.error = reader.peek().raw_text;
-        reader.expect("error");
-      }
-      }
-      const char* kind = is_epoch ? "epoch" : "round";
-      const std::uint64_t id = is_epoch ? epoch.epoch : record.round;
-      const Line& end = reader.expect("end");
-      if (end.tokens.size() != 3 || end.tokens[1] != kind ||
-          parse_u64(end.tokens[2], end.number) != id) {
-        fail(end.number,
-             "expected 'end " + std::string(kind) + " " + std::to_string(id) + "'");
-      }
-      if (!end.terminated) {
-        complete = false;  // torn final line: drop the block
-      } else {
-        result.valid_bytes = end.end_offset;
-        i = reader.index();
-      }
-    } catch (const common::PreconditionError&) {
-      // Corruption in the LAST block is a torn append and is dropped; any
-      // complete block after the corruption point means real damage.
-      bool more_blocks = false;
-      for (std::size_t k = reader.index(); k < lines.size(); ++k) {
-        if (lines[k].tokens.front() == "end" && lines[k].terminated) {
-          more_blocks = true;
-        }
-      }
-      if (more_blocks) {
-        throw;
-      }
-      complete = false;
-    }
-    if (!complete) {
-      break;
-    }
-    if (is_epoch) {
-      if (epoch.epoch != result.epochs.size()) {
-        fail(lines[i > 0 ? i - 1 : 0].number, "journal epochs are not contiguous from 0");
-      }
-      result.epochs.push_back(std::move(epoch));
-    } else {
-      const std::size_t expected = result.records.size();
-      if (record.round != expected) {
-        fail(lines[i > 0 ? i - 1 : 0].number, "journal rounds are not contiguous from 0");
-      }
-      result.records.push_back(std::move(record));
-    }
-  }
-  return result;
+  ReplayedServiceJournal journal;
+  auto prefix = common::parse_block_log(kFormat, text, record_parser(journal),
+                                        common::BlockIds::kContiguous);
+  journal.valid_bytes = prefix.valid_bytes;
+  journal.config = std::move(prefix.config);
+  return journal;
 }
 
 ReplayedServiceJournal load_service_journal(const std::filesystem::path& path) {
-  if (!std::filesystem::exists(path)) {
-    return {};
-  }
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    throw std::runtime_error("cannot open service journal: " + path.string());
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return parse_service_journal(buffer.str());
+  return parse_service_journal(common::read_block_log(kFormat, path));
 }
 
 ServiceJournalWriter::ServiceJournalWriter(const std::filesystem::path& path,
-                                           const std::string& config_fingerprint)
-    : path_(path) {
-  const bool fresh = !std::filesystem::exists(path) || std::filesystem::file_size(path) == 0;
-  out_.open(path, std::ios::binary | std::ios::app);
-  if (!out_) {
-    throw std::runtime_error("cannot open service journal for appending: " + path.string());
-  }
-  if (fresh) {
-    out_ << kHeader << "\n";
-    if (!config_fingerprint.empty()) {
-      out_ << "config " << config_fingerprint << "\n";
-    }
-    out_.flush();
-  }
-}
+                                           const std::string& config_fingerprint,
+                                           ReplayedServiceJournal* replayed)
+    : writer_(resume(path, config_fingerprint, replayed)) {}
 
 void ServiceJournalWriter::set_fault_injector(
     std::shared_ptr<const common::FaultInjector> injector) {
@@ -550,11 +262,7 @@ void ServiceJournalWriter::append_text(const std::string& text, std::uint64_t fa
   // The fault fires BEFORE any byte reaches the file, modelling a full-disk
   // or I/O error on the append; the on-disk journal stays a valid prefix.
   common::fault_point(fault_injector_.get(), common::FailPoint::kJournalAppend, fault_stream, 0);
-  out_ << text;
-  out_.flush();
-  if (!out_) {
-    throw std::runtime_error("service journal append failed: " + path_.string());
-  }
+  writer_.append(text);
 }
 
 }  // namespace mcs::service

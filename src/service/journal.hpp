@@ -3,12 +3,12 @@
 // one self-contained block holding the round's merged outcome; a service
 // restarted on the same journal serves those rounds straight from disk
 // (RoundOutcome::replayed_from_journal) instead of recomputing them, so a
-// crashed traffic stream resumes with every settled round bit-identical
-// (doubles are written with %.17g and round-trip exactly).
+// crashed traffic stream resumes with every settled round bit-identical.
 //
-// Format, following the platform journal's text conventions ('#' comments
-// and blank lines ignored; the `config` and `error` directives take the raw
-// remainder of their line, with newlines in error text flattened to spaces):
+// This file is only the payload codec. The framing — header, `config`
+// fingerprint, torn-tail recovery, contiguous ids, the writer and the
+// resume sequence — is common/block_log.hpp, shared with the campaign
+// journal. Round blocks:
 //
 //     mcs-service-journal-v1
 //     config shards=4 policy=0 alpha=10 ...   # fingerprint of the service
@@ -29,8 +29,8 @@
 //     end round 0
 //
 // Services with online ingestion enabled additionally journal one block per
-// flushed epoch — OPTIONAL blocks in the PR-4 telemetry-line sense, so
-// journals without them (every pre-online journal) parse unchanged:
+// flushed epoch. Epoch blocks are optional, so journals without them (every
+// pre-online journal) parse unchanged:
 //
 //     begin epoch 0
 //     status ok
@@ -45,29 +45,23 @@
 //     winners 1 1
 //     end epoch 0
 //
-// Epoch ids are their own sequence, contiguous from 0, interleaved with
-// round blocks in whatever order the service settled them.
-//
-// A block is only valid once its newline-terminated `end round N` (or
-// `end epoch N`) line is
-// present: a torn tail (the service died mid-append) is detected and dropped
-// on replay, and the writer truncates to the valid prefix before appending.
-// Corruption before the last complete block throws. The `config` line
-// fingerprints every knob that shapes a round's outcome (shard map,
-// mechanism config); replaying under a different configuration throws, since
-// the journaled outcomes would not match what the service would compute.
+// Round and epoch ids are separate sequences, each contiguous from 0,
+// interleaved in whatever order the service settled them. The `config` line
+// fingerprints every knob that shapes an outcome (shard map, mechanism
+// config); a journal written under a different configuration is refused,
+// since its outcomes would not match what the service would compute.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "auction/engine.hpp"
 #include "auction/online/mechanism.hpp"
+#include "common/block_log.hpp"
 #include "common/fault_injection.hpp"
 
 namespace mcs::service {
@@ -134,12 +128,15 @@ ReplayedServiceJournal parse_service_journal(const std::string& text);
 /// other I/O failures throw std::runtime_error naming the path.
 ReplayedServiceJournal load_service_journal(const std::filesystem::path& path);
 
-/// Appends records to a journal file, creating it (header + `config` line)
-/// when absent or empty. Each append is flushed before returning.
+/// Appends records to a journal file. Construction runs the block-log
+/// resume sequence: it refuses a journal written under another fingerprint,
+/// truncates a torn tail, and writes whatever header and `config` line the
+/// file lacks. When `replayed` is non-null it receives the parsed journal.
 class ServiceJournalWriter {
  public:
   explicit ServiceJournalWriter(const std::filesystem::path& path,
-                                const std::string& config_fingerprint = {});
+                                const std::string& config_fingerprint = {},
+                                ReplayedServiceJournal* replayed = nullptr);
 
   /// Installs the kJournalAppend fail point (test/bench facility). The fault
   /// fires before any byte is written, so the journal stays a valid prefix.
@@ -151,8 +148,7 @@ class ServiceJournalWriter {
  private:
   void append_text(const std::string& text, std::uint64_t fault_stream);
 
-  std::filesystem::path path_;
-  std::ofstream out_;
+  common::BlockLogWriter writer_;
   std::shared_ptr<const common::FaultInjector> fault_injector_;
 };
 

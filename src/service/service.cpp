@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <sstream>
 #include <utility>
 
@@ -13,11 +12,7 @@ namespace mcs::service {
 
 namespace {
 
-std::string format_double(double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  return buffer;
-}
+using common::format_double;
 
 /// Registry ids of the service's process-wide metrics, resolved once.
 struct ServiceMetrics {
@@ -143,26 +138,12 @@ CampaignService::CampaignService(const ServiceConfig& config)
               "ranges over the GLOBAL without-i iteration sequence); use kBinarySearch or a "
               "single shard");
   if (!config_.journal_path.empty()) {
-    const auto fingerprint = service_config_fingerprint(config_);
-    auto replayed = load_service_journal(config_.journal_path);
-    if (replayed.config.empty()) {
-      MCS_EXPECTS(replayed.records.empty() && replayed.epochs.empty(),
-                  "service journal has rounds but no config fingerprint");
-    } else {
-      MCS_EXPECTS(replayed.config == fingerprint,
-                  "service journal was written under a different service configuration; "
-                  "replaying it would serve outcomes this service would not compute");
-    }
+    ReplayedServiceJournal replayed;
+    journal_ = std::make_unique<ServiceJournalWriter>(
+        config_.journal_path, service_config_fingerprint(config_), &replayed);
+    journal_->set_fault_injector(config_.fault_injector);
     journaled_ = std::move(replayed.records);
     journaled_epochs_ = std::move(replayed.epochs);
-    // Drop any torn tail before appending, as the platform journal does: the
-    // next round's block must follow the last complete one.
-    if (std::filesystem::exists(config_.journal_path) &&
-        std::filesystem::file_size(config_.journal_path) > replayed.valid_bytes) {
-      std::filesystem::resize_file(config_.journal_path, replayed.valid_bytes);
-    }
-    journal_ = std::make_unique<ServiceJournalWriter>(config_.journal_path, fingerprint);
-    journal_->set_fault_injector(config_.fault_injector);
   }
   dispatcher_ = std::thread([this] { dispatcher_loop(); });
 }

@@ -3,10 +3,17 @@
 //   * truncation at ANY byte offset is a torn tail — parsing never throws,
 //     yields a prefix of the intact journal's records, and reports a
 //     valid_bytes that reparses idempotently;
+//   * resuming after truncation at ANY byte offset — cut the file to its
+//     valid prefix, reopen the writer, append the next block — yields a
+//     journal holding the intact prefix plus the new block, still carrying
+//     the original `config` fingerprint;
 //   * a flipped byte either lands in the dropped tail (parse succeeds with a
 //     valid prefix) or is corruption before the last complete block (parse
 //     throws PreconditionError) — never a silent wrong record set.
 #include <cstddef>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -104,35 +111,56 @@ std::string service_journal_text() {
 
 struct PlatformFormat {
   static constexpr const char* kName = "mcs-journal-v1";
+  static constexpr const char* kFingerprint = "seed=77 tasks=6 alpha=10";
   struct Parsed {
     std::vector<std::size_t> rounds;
     std::size_t valid_bytes = 0;
+    std::string config;
   };
   static Parsed parse(const std::string& text) {
     const auto replay = mcs::platform::parse_journal(text);
     Parsed parsed;
     parsed.valid_bytes = replay.valid_bytes;
+    parsed.config = replay.config;
     for (const auto& entry : replay.entries) {
       parsed.rounds.push_back(entry.report.round);
     }
     return parsed;
   }
+  static void append_round(const std::filesystem::path& path, std::size_t round) {
+    mcs::platform::JournalWriter writer(path, kFingerprint);
+    mcs::platform::JournalEntry entry;
+    entry.report.round = round;
+    entry.positions = {5, 17, 23};
+    writer.append(entry);
+  }
 };
 
 struct ServiceFormat {
   static constexpr const char* kName = "mcs-service-journal-v1";
+  static constexpr const char* kFingerprint = "shards=4 policy=0 alpha=10";
   struct Parsed {
     std::vector<std::size_t> rounds;
     std::size_t valid_bytes = 0;
+    std::string config;
   };
   static Parsed parse(const std::string& text) {
     const auto replay = mcs::service::parse_service_journal(text);
     Parsed parsed;
     parsed.valid_bytes = replay.valid_bytes;
+    parsed.config = replay.config;
     for (const auto& record : replay.records) {
       parsed.rounds.push_back(static_cast<std::size_t>(record.round));
     }
     return parsed;
+  }
+  static void append_round(const std::filesystem::path& path, std::size_t round) {
+    mcs::service::ServiceJournalWriter writer(path, kFingerprint);
+    mcs::service::ServiceJournalRecord record;
+    record.round = round;
+    record.users = 100;
+    record.tasks = 12;
+    writer.append(record);
   }
 };
 
@@ -206,6 +234,40 @@ void fuzz_byte_flips(const std::string& intact) {
   }
 }
 
+// Resume after truncation at every byte offset: the recovery path cuts the
+// file to valid_bytes and reopens the writer, which must append the next
+// block after the intact prefix AND keep the journal's fingerprint — a crash
+// inside the `config` line must not leave a journal whose later rounds have
+// no fingerprint (the next restart would refuse it).
+template <typename Format>
+void fuzz_resume_append(const std::string& intact) {
+  const auto path = std::filesystem::temp_directory_path() /
+                    ("mcs_journal_fuzz_" +
+                     std::to_string(::testing::UnitTest::GetInstance()->random_seed()) + "_" +
+                     ::testing::UnitTest::GetInstance()->current_test_info()->name());
+  for (std::size_t cut = 0; cut <= intact.size(); ++cut) {
+    const std::string label =
+        std::string(Format::kName) + " resumed after truncation at byte " + std::to_string(cut);
+    const auto prefix = Format::parse(intact.substr(0, cut));
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out << intact.substr(0, prefix.valid_bytes);
+    }
+    ASSERT_NO_THROW(Format::append_round(path, prefix.rounds.size())) << label;
+
+    std::ifstream in(path, std::ios::binary);
+    const std::string text{std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+    typename Format::Parsed resumed;
+    ASSERT_NO_THROW(resumed = Format::parse(text)) << label;
+    auto expected = prefix.rounds;
+    expected.push_back(prefix.rounds.size());
+    EXPECT_EQ(resumed.rounds, expected) << label;
+    EXPECT_EQ(resumed.config, Format::kFingerprint) << label;
+    EXPECT_EQ(resumed.valid_bytes, text.size()) << label;
+  }
+  std::filesystem::remove(path);
+}
+
 TEST(JournalFuzz, PlatformTruncationAlwaysRecoversAPrefix) {
   fuzz_truncation<PlatformFormat>(platform_journal_text());
 }
@@ -220,6 +282,14 @@ TEST(JournalFuzz, PlatformByteFlipsNeverYieldSilentBadRecords) {
 
 TEST(JournalFuzz, ServiceByteFlipsNeverYieldSilentBadRecords) {
   fuzz_byte_flips<ServiceFormat>(service_journal_text());
+}
+
+TEST(JournalFuzz, PlatformResumeAfterAnyTruncationAppendsAfterThePrefix) {
+  fuzz_resume_append<PlatformFormat>(platform_journal_text());
+}
+
+TEST(JournalFuzz, ServiceResumeAfterAnyTruncationAppendsAfterThePrefix) {
+  fuzz_resume_append<ServiceFormat>(service_journal_text());
 }
 
 }  // namespace

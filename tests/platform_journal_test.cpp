@@ -237,6 +237,25 @@ TEST_F(JournalFixture, TornTrailingBlockIsDroppedAndRewritten) {
   expect_campaign_identical(again.run_campaign(), expected);
 }
 
+TEST_F(JournalFixture, TornConfigLineSurvivesASecondResume) {
+  // Regression: a crash inside the `config` line leaves a header-only valid
+  // prefix. The resumed campaign must write the config line again before its
+  // first block; otherwise the next resume finds rounds without a
+  // fingerprint and refuses the journal.
+  {
+    std::ofstream out(journal_path_, std::ios::binary);
+    out << "mcs-journal-v1\nconfig seed=7";
+  }
+  auto truncated = campaign_config(true);
+  truncated.rounds = 2;
+  Platform(city_, fleet_, truncated).run_campaign();
+  EXPECT_EQ(parse_journal(journal_text()).config, config_fingerprint(truncated));
+
+  Platform uninterrupted(city_, fleet_, campaign_config(false));
+  Platform resumed(city_, fleet_, campaign_config(true));
+  expect_campaign_identical(resumed.run_campaign(), uninterrupted.run_campaign());
+}
+
 TEST_F(JournalFixture, ResumingUnderADifferentConfigurationThrows) {
   auto truncated = campaign_config(true);
   truncated.rounds = 3;

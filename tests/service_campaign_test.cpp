@@ -378,6 +378,31 @@ TEST_F(JournalPathFixture, TornTailIsDroppedAndRecomputed) {
   EXPECT_FALSE(resumed.wait_outcome(2).replayed_from_journal);
 }
 
+TEST_F(JournalPathFixture, TornConfigLineSurvivesASecondRestart) {
+  // Regression: a crash inside the `config` line leaves a header-only valid
+  // prefix. The resumed service must write the config line again before its
+  // first block; otherwise the next restart finds rounds without a
+  // fingerprint and refuses the journal.
+  {
+    std::ofstream out(journal_path_, std::ios::binary);
+    out << "mcs-service-journal-v1\nconfig shar";
+  }
+  ServiceConfig config;
+  config.journal_path = journal_path_;
+  std::vector<RoundOutcome> computed;
+  {
+    CampaignService service{config};
+    EXPECT_EQ(service.journaled_rounds(), 0u);
+    computed.push_back(service.wait_outcome(service.submit_round(flat_round(14, 4, 820))));
+    service.drain();
+  }
+  CampaignService resumed{config};
+  EXPECT_EQ(resumed.journaled_rounds(), 1u);
+  const auto replayed = resumed.wait_outcome(resumed.submit_round(flat_round(14, 4, 820)));
+  EXPECT_TRUE(replayed.replayed_from_journal);
+  test::expect_identical_outcome(replayed.outcome, computed[0].outcome);
+}
+
 TEST_F(JournalPathFixture, DifferentConfigurationRefusesTheJournal) {
   ServiceConfig config;
   config.journal_path = journal_path_;
