@@ -87,8 +87,9 @@ Options parse_options(int argc, char** argv) {
 
 /// Residue-pure round mod `shards` (task j in cell j, every user's task set
 /// inside one residue class), so no user straddles shards and every shard
-/// owns tasks — the kShardRun hit counter maps 1:1 onto shard ids when
-/// nothing fails. Same workload shape as bench/service_load.
+/// owns tasks — a shard's first attempt is kShardRun hit = its shard id, and
+/// its attempt a is hit a * shards + id. Same workload shape as
+/// bench/service_load.
 service::GeoRound make_round(std::size_t users, std::size_t tasks, std::size_t shards,
                              std::uint64_t seed) {
   service::GeoRound round;

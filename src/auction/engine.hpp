@@ -65,6 +65,8 @@ class Engine {
  public:
   explicit Engine(const EngineOptions& options = {});
 
+  /// The pool batches run on: the shared pool, or the dedicated one.
+  common::ThreadPool& pool() const;
   /// Threads available to a batch (the shared or dedicated pool's size).
   std::size_t worker_count() const;
 
@@ -115,7 +117,6 @@ class Engine {
   template <typename Item>
   std::vector<AuctionOutcome> run_batch_isolated(const std::vector<Item>& batch,
                                                  const MechanismConfig& config) const;
-  common::ThreadPool& pool() const;
   /// A dedicated pool's size becomes the default critical-bid budget, so an
   /// Engine{workers = w} never uses more than w threads at either level.
   MechanismConfig effective_config(const MechanismConfig& config) const;

@@ -8,7 +8,7 @@
 //
 //     (seed, fail point, stream, hit index)
 //
-// where the stream is the service's round id and the hit index counts that
+// where the stream is the service's round id and the hit index numbers that
 // fail point's evaluations within the round. Nothing depends on wall clock,
 // thread interleaving, or global mutable counters, so a fault schedule found
 // in CI reproduces bit-for-bit from its seed — even when a watchdog-abandoned
@@ -43,7 +43,9 @@ class InjectedFault : public std::runtime_error {
 /// journal's append and replay, a telemetry sink dispatch, and the
 /// queue→dispatcher handoff.
 enum class FailPoint : std::size_t {
-  kShardRun = 0,     ///< one hit per shard attempt (first pass and retries)
+  /// One hit per slot attempt on the engine's pool: slot s (a shard slice, or
+  /// the unpartitioned round) on attempt a is hit a * slots + s.
+  kShardRun = 0,
   kJournalAppend,    ///< one hit per round-outcome append
   kJournalReplay,    ///< one hit per journal-served round
   kSinkDispatch,     ///< one hit per (round, registered sink) delivery

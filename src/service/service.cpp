@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <numeric>
 #include <sstream>
 #include <utility>
 
@@ -49,11 +50,6 @@ struct ServiceMetrics {
     return metrics;
   }
 };
-
-bool slot_dead(const auction::AuctionOutcome& slot) {
-  return slot.status == auction::AuctionStatus::kFailed ||
-         slot.status == auction::AuctionStatus::kTimedOut;
-}
 
 }  // namespace
 
@@ -500,75 +496,36 @@ RoundOutcome CampaignService::compute(const Request& request) {
   }
 
   const auto start = std::chrono::steady_clock::now();
-  // The serial per-shard path exists for fault coverage: the kShardRun fail
-  // point and the retry loop need each shard attempt individually
-  // addressable. Engine batches are documented bit-identical to serial
-  // per-instance runs, so taking it never changes a healthy outcome; the
-  // batch fast path is kept for the common fault-free, no-retry service so
-  // PR 6 behavior stays byte-for-byte the same code.
-  const bool serial_shards =
-      config_.fault_injector != nullptr || config_.retry.max_attempts > 1;
   // Retry backoffs never sleep past the watchdog: a retry that cannot start
   // before the round is abandoned is pure waste.
   const auto deadline = common::Deadline::from_budget(config_.watchdog_seconds);
   try {
-    if (config_.shards.shard_count() == 1) {
-      // Pass-through: bit-identical to the bare engine by construction.
-      auction::AuctionOutcome slot;
-      if (serial_shards) {
-        std::uint64_t hit = 0;
-        std::size_t retries = 0;
-        slot = attempt_shard(request.payload.instance, request.round, deadline, hit, retries);
-        out.shard_retries = retries;
-      } else {
-        slot = engine_.run_one_isolated(request.payload.instance, config_.mechanism);
-      }
-      out.status = slot.status;
-      out.outcome = std::move(slot.outcome);
-      out.error = std::move(slot.error);
-      out.shards_run = 1;
-    } else {
-      auto partition = partition_round(request.payload, config_.shards);
+    // The round's slots: one per shard slice, or the whole instance for the
+    // pass-through and for a round where no shard owns a task (zero tasks),
+    // so the outcome is whatever the mechanism says about it.
+    const bool partitioned = config_.shards.shard_count() > 1;
+    RoundPartition partition;
+    std::vector<const auction::MultiTaskInstance*> instances;
+    if (partitioned) {
+      partition = partition_round(request.payload, config_.shards);
       out.straddlers = partition.straddlers.size();
-      if (partition.shards.empty()) {
-        // No shard owns a task (a zero-task round): run flat so the outcome
-        // matches whatever the mechanism says about the degenerate instance.
-        auto slot = engine_.run_one_isolated(request.payload.instance, config_.mechanism);
-        out.status = slot.status;
-        out.outcome = std::move(slot.outcome);
-        out.error = std::move(slot.error);
-        out.shards_run = 0;
-      } else {
-        std::vector<auction::AuctionOutcome> slots;
-        if (serial_shards) {
-          // Shards run in slice order, so with no faults and no retries the
-          // round's kShardRun hit index IS the slice index — how a schedule
-          // targets "round r, shard s" (see fault_injection.hpp).
-          slots.reserve(partition.shards.size());
-          std::uint64_t hit = 0;
-          std::size_t retries = 0;
-          for (const auto& slice : partition.shards) {
-            slots.push_back(
-                attempt_shard(slice.instance, request.round, deadline, hit, retries));
-          }
-          out.shard_retries = retries;
-        } else {
-          std::vector<auction::MultiTaskInstance> batch;
-          batch.reserve(partition.shards.size());
-          for (auto& slice : partition.shards) {
-            batch.push_back(std::move(slice.instance));
-          }
-          slots = engine_.run_isolated(batch, config_.mechanism);
-        }
-        auto merged =
-            merge_outcomes(request.payload.instance, partition, slots,
-                           config_.mechanism.multi_task.partial_coverage, config_.merge_policy);
-        out.status = merged.status;
-        out.outcome = std::move(merged.outcome);
-        out.error = std::move(merged.error);
-        out.shards_run = partition.shards.size();
+      for (const auto& slice : partition.shards) {
+        instances.push_back(&slice.instance);
       }
     }
+    if (instances.empty()) {
+      instances.push_back(&request.payload.instance);
+    }
+    auto slots = run_slots(instances, request.round, deadline, out.shard_retries);
+    auto merged = partition.shards.empty()
+                      ? std::move(slots.front())
+                      : merge_outcomes(request.payload.instance, partition, slots,
+                                       config_.mechanism.multi_task.partial_coverage,
+                                       config_.merge_policy);
+    out.status = merged.status;
+    out.outcome = std::move(merged.outcome);
+    out.error = std::move(merged.error);
+    out.shards_run = partitioned ? partition.shards.size() : 1;
   } catch (const std::exception& e) {
     // Partitioning rejected the round (e.g. task_cells misaligned with the
     // instance) — poison this round only, like the engine's isolated path.
@@ -581,29 +538,42 @@ RoundOutcome CampaignService::compute(const Request& request) {
   return out;
 }
 
-auction::AuctionOutcome CampaignService::attempt_shard(
-    const auction::MultiTaskInstance& instance, RoundId round, const common::Deadline& deadline,
-    std::uint64_t& hit, std::size_t& retries) const {
-  auction::AuctionOutcome slot;
+std::vector<auction::AuctionOutcome> CampaignService::run_slots(
+    const std::vector<const auction::MultiTaskInstance*>& instances, RoundId round,
+    const common::Deadline& deadline, std::size_t& retries) const {
+  const std::size_t count = instances.size();
+  std::vector<auction::AuctionOutcome> slots(count);
+  std::vector<std::size_t> pending(count);
+  std::iota(pending.begin(), pending.end(), std::size_t{0});
   double backoff = config_.retry.initial_backoff_seconds;
   for (std::size_t attempt = 0;; ++attempt) {
-    try {
-      common::fault_point(config_.fault_injector.get(), common::FailPoint::kShardRun, round,
-                          hit++);
-      slot = engine_.run_one_isolated(instance, config_.mechanism);
-    } catch (const std::exception& e) {
-      // An injected shard failure lands exactly where a real one would: a
-      // dead slot for the merge policy to rule on.
-      slot = auction::AuctionOutcome{};
-      slot.status = auction::AuctionStatus::kFailed;
-      slot.error = e.what();
-    }
-    if (!slot_dead(slot) || attempt + 1 >= config_.retry.max_attempts) {
-      return slot;
+    // One pass over the pending slots with the engine batch's scheduling: a
+    // lone slot runs inline on this thread (its critical bids still fan out
+    // on the pool), several run one per pool worker.
+    engine_.pool().for_each_index(
+        pending.size(),
+        [&](std::size_t k) {
+          const std::size_t slot = pending[k];
+          try {
+            common::fault_point(config_.fault_injector.get(), common::FailPoint::kShardRun, round,
+                                attempt * count + slot);
+            slots[slot] = engine_.run_one_isolated(*instances[slot], config_.mechanism);
+          } catch (const std::exception& e) {
+            // An injected shard failure lands exactly where a real one would:
+            // a dead slot for the merge policy to rule on.
+            slots[slot] = auction::AuctionOutcome{};
+            slots[slot].status = auction::AuctionStatus::kFailed;
+            slots[slot].error = e.what();
+          }
+        },
+        engine_.worker_count());
+    std::erase_if(pending, [&](std::size_t slot) { return !slot_dead(slots[slot]); });
+    if (pending.empty() || attempt + 1 >= config_.retry.max_attempts) {
+      return slots;
     }
     const double remaining = deadline.remaining_seconds();
     if (remaining <= 0.0) {
-      return slot;  // the watchdog is about to fire; don't burn its budget
+      return slots;  // the watchdog is about to fire; don't burn its budget
     }
     const double sleep_seconds =
         std::isfinite(remaining) ? std::min(backoff, remaining) : backoff;
@@ -612,7 +582,7 @@ auction::AuctionOutcome CampaignService::attempt_shard(
     }
     backoff = std::min(backoff * config_.retry.backoff_multiplier,
                        config_.retry.max_backoff_seconds);
-    ++retries;
+    retries += pending.size();
   }
 }
 

@@ -9,9 +9,11 @@
 //
 // Rounds flow through a bounded submission queue into a single dispatcher
 // thread, which partitions each round by geo cell (service/shard.hpp), runs
-// the per-shard mechanisms through one auction::Engine batch — the engine's
-// thread pool is where the concurrency lives; the dispatcher only
+// the per-shard mechanisms as one pass over the auction::Engine's thread
+// pool — the pool is where the concurrency lives; the dispatcher only
 // orchestrates — and merges the shard outcomes back into one round outcome.
+// Every round, healthy or under retries and fault injection, takes this one
+// dispatch path: retries re-run only the dead shards in further passes.
 // Rounds complete strictly in submission order, which keeps the journal
 // append-only and the telemetry stream ordered.
 //
@@ -391,13 +393,16 @@ class CampaignService {
   /// destruction) and a synthetic kTimedOut outcome is returned.
   RoundOutcome run_guarded(Request request);
   RoundOutcome compute(const Request& request);
-  /// One shard's mechanism run through the kShardRun fail point and the
-  /// retry/backoff loop. `hit` is the round's running kShardRun hit counter
-  /// (with no faults and no retries, hit == shard slice index); `retries`
-  /// accumulates extra attempts.
-  auction::AuctionOutcome attempt_shard(const auction::MultiTaskInstance& instance, RoundId round,
-                                        const common::Deadline& deadline, std::uint64_t& hit,
-                                        std::size_t& retries) const;
+  /// Runs a round's slots (its shard slices, or the whole instance) and
+  /// returns one engine slot each. Pass 0 runs every slot on the engine's
+  /// pool; pass k re-runs only the slots still dead, after one deadline-aware
+  /// backoff sleep on this thread, until retry.max_attempts passes. Slot s's
+  /// attempt a evaluates kShardRun at hit a * slots + s, so a schedule's
+  /// coordinates never depend on thread interleaving. `retries` accumulates
+  /// the re-run slots.
+  std::vector<auction::AuctionOutcome> run_slots(
+      const std::vector<const auction::MultiTaskInstance*>& instances, RoundId round,
+      const common::Deadline& deadline, std::size_t& retries) const;
   void journal_round(const RoundOutcome& outcome, std::size_t users, std::size_t tasks,
                      std::string& journal_error);
   void publish(RoundOutcome outcome);

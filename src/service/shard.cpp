@@ -148,6 +148,11 @@ RoundPartition partition_round(const GeoRound& round, const ShardMap& map) {
 // merge_outcomes
 // ---------------------------------------------------------------------------
 
+bool slot_dead(const auction::AuctionOutcome& slot) {
+  return slot.status == auction::AuctionStatus::kFailed ||
+         slot.status == auction::AuctionStatus::kTimedOut;
+}
+
 namespace {
 
 /// Winners of every shard slot mapped to global ids and sorted ascending —
@@ -163,12 +168,6 @@ std::vector<auction::UserId> merged_winners(const RoundPartition& partition,
   }
   std::sort(winners.begin(), winners.end());
   return winners;
-}
-
-/// A slot whose mechanism never produced an outcome: failed or timed out.
-bool slot_dead(const auction::AuctionOutcome& slot) {
-  return slot.status == auction::AuctionStatus::kFailed ||
-         slot.status == auction::AuctionStatus::kTimedOut;
 }
 
 /// Every dead shard's error, "shard <id>: <error>" joined with "; " in shard

@@ -152,6 +152,10 @@ enum class MergePolicy {
   kDegradedMerge,
 };
 
+/// A slot whose mechanism never produced an outcome: failed or timed out.
+/// The merge policy rules on dead shards, and the service retries them.
+bool slot_dead(const auction::AuctionOutcome& slot);
+
 /// Merges per-shard engine slots (aligned with partition.shards) back into
 /// one round-level slot, reconstructing the flat outcome per the contract in
 /// the file header. Status under kPoisonRound: any kFailed shard poisons the

@@ -9,6 +9,8 @@
 #include <condition_variable>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <string>
@@ -18,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include "common/check.hpp"
+#include "common/fault_injection.hpp"
 #include "platform/platform.hpp"
 #include "test_util.hpp"
 
@@ -311,6 +314,64 @@ TEST(CampaignServiceEquivalence, ShardedServiceMatchesFlatOnStraddlerFreeRounds)
     ASSERT_EQ(actual.status, expected.status) << actual.error;
     EXPECT_EQ(actual.straddlers, 0u);
     test::expect_identical_outcome(actual.outcome, expected.outcome);
+  }
+}
+
+// Retries and an injector that never fires are availability knobs only: a
+// service with either one computes, and journals, every round exactly like
+// the default service, at any shard count, with or without straddlers, and
+// for a zero-task round (no shard owns a task, so it runs whole).
+TEST_F(JournalPathFixture, RetryAndIdleInjectorMatchTheDefaultService) {
+  // Straddler-free and feasible: user i bids on task i % 32 alone, five
+  // users per task at PoS in [0.375, 0.6] against a 0.5 requirement.
+  auto straddler_free = celled_round(160, 32, 801);
+  for (std::size_t i = 0; i < straddler_free.instance.users.size(); ++i) {
+    auto& user = straddler_free.instance.users[i];
+    user.tasks = {static_cast<auction::TaskIndex>(i % 32)};
+    user.pos = {0.35 + 0.5 * user.pos[0]};
+  }
+  const std::vector<GeoRound> rounds = {straddler_free, celled_round(96, 32, 802), GeoRound{}};
+
+  auto read_journal = [this] {
+    std::ifstream in(journal_path_, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  };
+  for (const std::size_t shard_count : {1u, 4u, 16u}) {
+    std::vector<ServiceConfig> configs(3);
+    configs[1].retry.max_attempts = 3;
+    configs[2].fault_injector = std::make_shared<common::FaultInjector>(13);  // all-zero specs
+    std::vector<std::vector<RoundOutcome>> outcomes;
+    std::vector<std::string> journals;
+    for (auto& config : configs) {
+      config.shards = ShardMap(shard_count);
+      config.journal_path = journal_path_;
+      std::filesystem::remove(journal_path_);
+      {
+        CampaignService service{config};
+        outcomes.emplace_back();
+        for (const auto& round : rounds) {
+          outcomes.back().push_back(service.wait_outcome(service.submit_round(round)));
+        }
+      }
+      journals.push_back(read_journal());
+    }
+    const auto& expected = outcomes[0];
+    EXPECT_EQ(expected[0].straddlers, 0u);
+    EXPECT_EQ(expected[1].straddlers > 0, shard_count > 1);
+    EXPECT_FALSE(expected[0].outcome.allocation.winners.empty());
+    EXPECT_EQ(expected[2].shards_run, shard_count > 1 ? 0u : 1u);
+    for (std::size_t c = 1; c < configs.size(); ++c) {
+      EXPECT_EQ(journals[c], journals[0]) << "config " << c << ", shards " << shard_count;
+      for (std::size_t k = 0; k < rounds.size(); ++k) {
+        const auto& actual = outcomes[c][k];
+        ASSERT_EQ(actual.status, expected[k].status) << actual.error;
+        EXPECT_EQ(actual.error, expected[k].error);
+        EXPECT_EQ(actual.shards_run, expected[k].shards_run);
+        EXPECT_EQ(actual.straddlers, expected[k].straddlers);
+        EXPECT_EQ(actual.shard_retries, 0u);
+        test::expect_identical_outcome(actual.outcome, expected[k].outcome);
+      }
+    }
   }
 }
 

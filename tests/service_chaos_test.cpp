@@ -30,8 +30,8 @@ using common::FailPointSpec;
 using common::FaultInjector;
 
 // Straddler-free celled round: user i bids on exactly task i % t, tasks
-// pinned to cells 0..t-1, so a 4-shard service has 4 live slices and the
-// kShardRun hit counter equals the slice index when nothing fails. With
+// pinned to cells 0..t-1, so a 4-shard service has 4 live slices and a
+// slice's first attempt evaluates kShardRun at hit = its slice index. With
 // n/t >= 3 users per task at PoS >= 0.35 every task clears its 0.5
 // requirement (1 - 0.65^3 ≈ 0.73), so a fault-free round — and every
 // surviving shard of a degraded one — is feasible by construction.
@@ -93,7 +93,7 @@ std::vector<RoundDigest> run_chaos_campaign(const ServiceConfig& config,
 TEST(ServiceChaos, SeededScheduleReplaysBitForBit) {
   constexpr std::size_t kRounds = 10;
   ServiceConfig config;
-  config.shards = ShardMap(4);
+  config.shards = ShardMap(8);  // 8 live slices, so each pass interleaves on the pool
   config.merge_policy = MergePolicy::kDegradedMerge;
   config.retry.max_attempts = 2;
   config.retry.initial_backoff_seconds = 0.0;  // keep the test fast
@@ -101,10 +101,14 @@ TEST(ServiceChaos, SeededScheduleReplaysBitForBit) {
   FailPointSpec shard_faults;
   shard_faults.fail_prob = 0.35;
 
+  // The replay also changes the worker count: fault coordinates are a pure
+  // function of (round, slot, attempt), never of which worker ran a slot.
+  config.workers = 4;
   config.fault_injector = shard_fault_injector(20260808, shard_faults);
   const auto first = run_chaos_campaign(config, kRounds);
   ASSERT_EQ(first.size(), kRounds);
 
+  config.workers = 1;
   config.fault_injector = shard_fault_injector(20260808, shard_faults);
   const auto replay = run_chaos_campaign(config, kRounds);
 
@@ -175,6 +179,62 @@ TEST(ServiceChaos, RetryMakesATransientFaultInvisible) {
   EXPECT_EQ(healed.shard_retries, 1u);
   EXPECT_EQ(service.stats().shard_retries, 1u);
   test::expect_identical_outcome(healed.outcome, clean.outcome);
+}
+
+// Retry hit map: slot s's attempt a evaluates kShardRun at hit a * slots + s.
+// On a 4-slice round, fail_at {(0, 1), (0, 5)} kills slice 1 on attempts 0
+// and 1, and attempt 2 (hit 9) heals it.
+TEST(ServiceChaos, RetryHitsArePerSlotAndAttempt) {
+  ServiceConfig config;
+  config.shards = ShardMap(4);
+  CampaignService clean_service{config};
+  const auto clean = clean_service.wait_outcome(clean_service.submit_round(chaos_round(24, 8, 7)));
+  ASSERT_TRUE(clean.ok());
+
+  ServiceConfig faulty = config;
+  faulty.retry.max_attempts = 3;
+  faulty.retry.initial_backoff_seconds = 0.0;
+  FailPointSpec twice;
+  twice.fail_at = {{0, 1}, {0, 5}};
+  faulty.fault_injector = shard_fault_injector(6, twice);
+  CampaignService service{faulty};
+  const auto healed = service.wait_outcome(service.submit_round(chaos_round(24, 8, 7)));
+
+  EXPECT_EQ(faulty.fault_injector->injected_failures(FailPoint::kShardRun), 2u);
+  EXPECT_EQ(healed.status, clean.status);
+  EXPECT_TRUE(healed.error.empty());
+  EXPECT_EQ(healed.shard_retries, 2u);
+  test::expect_identical_outcome(healed.outcome, clean.outcome);
+
+  // One attempt fewer and slice 1 is still dead after attempt 1 (hit 5).
+  faulty.retry.max_attempts = 2;
+  faulty.fault_injector = shard_fault_injector(6, twice);
+  CampaignService short_service{faulty};
+  const auto dead = short_service.wait_outcome(short_service.submit_round(chaos_round(24, 8, 7)));
+  EXPECT_EQ(dead.status, auction::AuctionStatus::kFailed);
+  EXPECT_NE(dead.error.find("shard 1: " + common::injected_fault_message(
+                                              FailPoint::kShardRun, 0, 5)),
+            std::string::npos)
+      << dead.error;
+}
+
+// A round no shard owns a task of runs whole as the round's one slot, through
+// the same fail point and retry as a shard.
+TEST(ServiceChaos, ZeroTaskRoundRetriesLikeAShard) {
+  ServiceConfig config;
+  config.shards = ShardMap(4);
+  config.retry.max_attempts = 2;
+  config.retry.initial_backoff_seconds = 0.0;
+  FailPointSpec first_attempt;
+  first_attempt.fail_at = {{0, 0}};
+  config.fault_injector = shard_fault_injector(7, first_attempt);
+  CampaignService service{config};
+  const auto outcome = service.wait_outcome(service.submit_round(GeoRound{}));
+
+  EXPECT_TRUE(outcome.ok()) << outcome.error;
+  EXPECT_EQ(outcome.shards_run, 0u);
+  EXPECT_EQ(outcome.shard_retries, 1u);
+  EXPECT_EQ(config.fault_injector->injected_failures(FailPoint::kShardRun), 1u);
 }
 
 // ---------------------------------------------------------------------------
