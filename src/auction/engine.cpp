@@ -73,6 +73,10 @@ MechanismOutcome dispatch(const MultiTaskInstance& instance, const MechanismConf
   return multi_task::run_mechanism(instance, config);
 }
 
+MechanismOutcome dispatch(const multi_task::MultiTaskView& view, const MechanismConfig& config) {
+  return multi_task::run_mechanism(view, config);
+}
+
 MechanismOutcome dispatch(const AuctionInstance& instance, const MechanismConfig& config) {
   return std::visit([&](const auto& typed) { return dispatch(typed, config); }, instance);
 }
@@ -230,6 +234,12 @@ AuctionOutcome Engine::run_one_isolated(const AuctionInstance& instance,
                                         const MechanismConfig& config) const {
   record_batch(1);
   return dispatch_isolated(instance, effective_config(config));
+}
+
+AuctionOutcome Engine::run_one_isolated(const multi_task::MultiTaskView& view,
+                                        const MechanismConfig& config) const {
+  record_batch(1);
+  return dispatch_isolated(view, effective_config(config));
 }
 
 }  // namespace mcs::auction

@@ -28,6 +28,10 @@
 
 namespace mcs::auction {
 
+namespace multi_task {
+struct MultiTaskView;
+}  // namespace multi_task
+
 /// One auction of either family, as submitted to the engine.
 using AuctionInstance = std::variant<SingleTaskInstance, MultiTaskInstance>;
 
@@ -108,6 +112,11 @@ class Engine {
   AuctionOutcome run_one_isolated(const MultiTaskInstance& instance,
                                   const MechanismConfig& config = {}) const;
   AuctionOutcome run_one_isolated(const AuctionInstance& instance,
+                                  const MechanismConfig& config = {}) const;
+  /// Same, for a multi-task auction already in CSR form (a sharded round's
+  /// slice): multi_task::run_mechanism's view core, bit-identical to the
+  /// instance overload on the instance the view was built from.
+  AuctionOutcome run_one_isolated(const multi_task::MultiTaskView& view,
                                   const MechanismConfig& config = {}) const;
 
  private:

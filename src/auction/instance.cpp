@@ -120,6 +120,21 @@ double MultiTaskUserBid::any_success_probability() const {
   return common::pos_from_contribution(total_contribution());
 }
 
+void MultiTaskUserBid::validate(std::size_t num_tasks) const {
+  check_cost(cost);
+  MCS_EXPECTS(tasks.size() == pos.size(), "task set and PoS arrays must be aligned");
+  MCS_EXPECTS(!tasks.empty(), "single-minded users must demand at least one task");
+  for (std::size_t k = 0; k < tasks.size(); ++k) {
+    const TaskIndex task = tasks[k];
+    MCS_EXPECTS(task >= 0 && static_cast<std::size_t>(task) < num_tasks,
+                "task index out of range");
+    if (k > 0) {
+      MCS_EXPECTS(tasks[k - 1] < task, "task sets must be strictly ascending");
+    }
+    check_pos(pos[k]);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // MultiTaskInstance
 // ---------------------------------------------------------------------------
@@ -178,24 +193,16 @@ double MultiTaskInstance::cost_of(const std::vector<UserId>& users_subset) const
   return total;
 }
 
-void MultiTaskInstance::validate() const {
+void MultiTaskInstance::validate_requirements() const {
   for (double t : requirement_pos) {
     check_requirement(t);
   }
+}
+
+void MultiTaskInstance::validate() const {
+  validate_requirements();
   for (const auto& user : users) {
-    check_cost(user.cost);
-    MCS_EXPECTS(user.tasks.size() == user.pos.size(),
-                "task set and PoS arrays must be aligned");
-    MCS_EXPECTS(!user.tasks.empty(), "single-minded users must demand at least one task");
-    for (std::size_t k = 0; k < user.tasks.size(); ++k) {
-      const TaskIndex task = user.tasks[k];
-      MCS_EXPECTS(task >= 0 && static_cast<std::size_t>(task) < requirement_pos.size(),
-                  "task index out of range");
-      if (k > 0) {
-        MCS_EXPECTS(user.tasks[k - 1] < task, "task sets must be strictly ascending");
-      }
-      check_pos(user.pos[k]);
-    }
+    user.validate(requirement_pos.size());
   }
 }
 

@@ -81,6 +81,12 @@ struct MultiTaskUserBid {
   /// The user's overall success probability 1 - Π_j (1 - p_i^j): the chance
   /// she completes at least one of her tasks (what the EC reward pays on).
   double any_success_probability() const;
+
+  /// Throws PreconditionError unless cost > 0 and the task set is non-empty,
+  /// strictly ascending, inside [0, num_tasks), and aligned with a PoS array
+  /// whose entries lie in [0, 1]. MultiTaskInstance::validate runs this per
+  /// user, so both report the same messages.
+  void validate(std::size_t num_tasks) const;
 };
 
 /// Multi-task single-minded auction instance.
@@ -103,9 +109,11 @@ struct MultiTaskInstance {
   bool is_feasible() const;
   double cost_of(const std::vector<UserId>& users_subset) const;
 
-  /// Throws PreconditionError unless every T_j ∈ (0,1), every cost > 0,
-  /// every PoS ∈ [0, 1], and every task set is sorted, unique, in range, and
-  /// aligned with its PoS array.
+  /// Throws PreconditionError unless every T_j ∈ (0,1).
+  void validate_requirements() const;
+  /// validate_requirements(), then MultiTaskUserBid::validate for every user
+  /// in id order: every cost > 0, every PoS ∈ [0, 1], and every task set is
+  /// sorted, unique, in range, and aligned with its PoS array.
   void validate() const;
 
   /// Copy with one user's declared PoS vector scaled in contribution space

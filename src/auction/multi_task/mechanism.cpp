@@ -7,18 +7,20 @@
 
 namespace mcs::auction::multi_task {
 
-MechanismOutcome run_mechanism(const MultiTaskInstance& instance,
-                               const auction::MechanismConfig& config) {
-  MCS_EXPECTS(config.alpha > 0.0, "reward scaling factor must be positive");
+namespace {
 
+/// The mechanism over a built view. `copied` is the instance the view was
+/// built from when the copied-probe reward path is configured, null
+/// otherwise. The deadline and the winner-determination timer start with
+/// the caller, so the instance entry point keeps timing its view build.
+MechanismOutcome run_on_view(const MultiTaskView& view, const MultiTaskInstance* copied,
+                             const auction::MechanismConfig& config,
+                             const common::Deadline& deadline, const obs::PhaseTimer& wd_timer) {
   const bool telemetry = obs::enabled();
-  const auto deadline = common::Deadline::from_budget(config.time_budget_seconds);
   MechanismOutcome outcome;
   outcome.telemetry.enabled = telemetry;
-  const obs::PhaseTimer wd_timer(telemetry);
-  // One CSR build serves winner determination AND every critical-bid probe
+  // One CSR view serves winner determination AND every critical-bid probe
   // of every winner — the probes below only layer overlays on top of it.
-  const auto view = MultiTaskView::from_instance(instance);
   const auto greedy = solve_greedy(
       view, ViewOverlay::none(),
       GreedyOptions{.deadline = deadline,
@@ -44,7 +46,11 @@ MechanismOutcome run_mechanism(const MultiTaskInstance& instance,
                                      .rule = config.multi_task.critical_bid_rule,
                                      .deadline = deadline,
                                      .algorithm = config.multi_task.winner_determination,
-                                     .masked_resolves = config.multi_task.masked_rewards};
+                                     .masked_resolves = copied == nullptr};
+  auto reward_of = [&](UserId winner, const RewardOptions& options) {
+    return copied == nullptr ? compute_reward(view, winner, options)
+                             : compute_reward(*copied, winner, options);
+  };
   // Per-winner critical bids are independent; fan them out across the shared
   // pool (parallel_map assembles results in submission order, bit-identical
   // to the serial loop). Each probe polls the same deadline token.
@@ -59,29 +65,42 @@ MechanismOutcome run_mechanism(const MultiTaskInstance& instance,
         [&](std::size_t index) {
           RewardOptions slot_options = reward_options;
           slot_options.counters = &per_winner[index];
-          return config.multi_task.masked_rewards
-                     ? compute_reward(view, winners[index], slot_options)
-                     : compute_reward(instance, winners[index], slot_options);
+          return reward_of(winners[index], slot_options);
         },
         config.reward_worker_budget());
     for (const obs::PhaseCounters& block : per_winner) {
       outcome.telemetry.rewards += block;
     }
     outcome.telemetry.rewards_seconds = reward_timer.seconds();
-  } else if (config.multi_task.masked_rewards) {
-    outcome.rewards = common::parallel_map<WinnerReward>(
-        winners.size(),
-        [&](std::size_t index) { return compute_reward(view, winners[index], reward_options); },
-        config.reward_worker_budget());
   } else {
     outcome.rewards = common::parallel_map<WinnerReward>(
         winners.size(),
-        [&](std::size_t index) {
-          return compute_reward(instance, winners[index], reward_options);
-        },
+        [&](std::size_t index) { return reward_of(winners[index], reward_options); },
         config.reward_worker_budget());
   }
   return outcome;
+}
+
+}  // namespace
+
+MechanismOutcome run_mechanism(const MultiTaskView& view, const auction::MechanismConfig& config) {
+  MCS_EXPECTS(config.alpha > 0.0, "reward scaling factor must be positive");
+  MCS_EXPECTS(config.multi_task.masked_rewards,
+              "the copied-probe reward path (masked_rewards = false) re-solves on the "
+              "instance; run the mechanism on the MultiTaskInstance instead of its view");
+  const obs::PhaseTimer wd_timer(obs::enabled());
+  return run_on_view(view, nullptr, config,
+                     common::Deadline::from_budget(config.time_budget_seconds), wd_timer);
+}
+
+MechanismOutcome run_mechanism(const MultiTaskInstance& instance,
+                               const auction::MechanismConfig& config) {
+  MCS_EXPECTS(config.alpha > 0.0, "reward scaling factor must be positive");
+  const auto deadline = common::Deadline::from_budget(config.time_budget_seconds);
+  const obs::PhaseTimer wd_timer(obs::enabled());
+  const auto view = MultiTaskView::from_instance(instance);
+  return run_on_view(view, config.multi_task.masked_rewards ? nullptr : &instance, config,
+                     deadline, wd_timer);
 }
 
 }  // namespace mcs::auction::multi_task

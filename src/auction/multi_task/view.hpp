@@ -72,8 +72,12 @@ struct MultiTaskView {
   /// Σ c_i over a user set, same order as MultiTaskInstance::cost_of.
   double cost_of(const std::vector<UserId>& users) const;
 
-  /// Builds the view, validating the instance once (the per-probe
-  /// solve_greedy calls on the view skip re-validation).
+  /// Builds the view, validating the instance once. A view is trusted
+  /// because the code that built it validated its input first: this
+  /// function, or the sharded round's column partition
+  /// (service::partition_views), which runs the same checks and writes
+  /// views equal field for field to this function's. The mechanism and
+  /// every per-probe solve_greedy call on a view skip re-validation.
   static MultiTaskView from_instance(const MultiTaskInstance& instance);
 };
 

@@ -133,6 +133,10 @@ CampaignService::CampaignService(const ServiceConfig& config)
               "CriticalBidRule::kPaperIterationMin is not shard-decomposable (its minimum "
               "ranges over the GLOBAL without-i iteration sequence); use kBinarySearch or a "
               "single shard");
+  MCS_EXPECTS(config.shards.shard_count() == 1 || config.mechanism.multi_task.masked_rewards,
+              "multi_task.masked_rewards = false (copied probes) needs each shard's AoS "
+              "instance, but sharded rounds run on CSR views; keep masked rewards or use a "
+              "single shard");
   if (!config_.journal_path.empty()) {
     ReplayedServiceJournal replayed;
     journal_ = std::make_unique<ServiceJournalWriter>(
@@ -500,23 +504,24 @@ RoundOutcome CampaignService::compute(const Request& request) {
   // before the round is abandoned is pure waste.
   const auto deadline = common::Deadline::from_budget(config_.watchdog_seconds);
   try {
-    // The round's slots: one per shard slice, or the whole instance for the
-    // pass-through and for a round where no shard owns a task (zero tasks),
-    // so the outcome is whatever the mechanism says about it.
+    // The round's slots: one CSR view per shard slice, or the whole AoS
+    // instance for the pass-through and for a round where no shard owns a
+    // task (zero tasks), so the outcome is whatever the mechanism says.
     const bool partitioned = config_.shards.shard_count() > 1;
     RoundPartition partition;
-    std::vector<const auction::MultiTaskInstance*> instances;
     if (partitioned) {
-      partition = partition_round(request.payload, config_.shards);
+      partition = partition_views(request.payload, config_.shards, engine_.pool());
       out.straddlers = partition.straddlers.size();
-      for (const auto& slice : partition.shards) {
-        instances.push_back(&slice.instance);
-      }
     }
-    if (instances.empty()) {
-      instances.push_back(&request.payload.instance);
-    }
-    auto slots = run_slots(instances, request.round, deadline, out.shard_retries);
+    const std::size_t slot_count = std::max<std::size_t>(partition.shards.size(), 1);
+    auto slots = run_slots(
+        slot_count,
+        [&](std::size_t slot) {
+          return partition.shards.empty()
+                     ? engine_.run_one_isolated(request.payload.instance, config_.mechanism)
+                     : engine_.run_one_isolated(partition.shards[slot].view, config_.mechanism);
+        },
+        request.round, deadline, out.shard_retries);
     auto merged = partition.shards.empty()
                       ? std::move(slots.front())
                       : merge_outcomes(request.payload.instance, partition, slots,
@@ -527,8 +532,9 @@ RoundOutcome CampaignService::compute(const Request& request) {
     out.error = std::move(merged.error);
     out.shards_run = partitioned ? partition.shards.size() : 1;
   } catch (const std::exception& e) {
-    // Partitioning rejected the round (e.g. task_cells misaligned with the
-    // instance) — poison this round only, like the engine's isolated path.
+    // Partitioning rejected the round (task_cells misaligned with the
+    // instance, or a malformed bid) — poison this round only, like the
+    // engine's isolated path.
     out.status = auction::AuctionStatus::kFailed;
     out.outcome = auction::MechanismOutcome{};
     out.error = e.what();
@@ -539,9 +545,8 @@ RoundOutcome CampaignService::compute(const Request& request) {
 }
 
 std::vector<auction::AuctionOutcome> CampaignService::run_slots(
-    const std::vector<const auction::MultiTaskInstance*>& instances, RoundId round,
-    const common::Deadline& deadline, std::size_t& retries) const {
-  const std::size_t count = instances.size();
+    std::size_t count, const std::function<auction::AuctionOutcome(std::size_t)>& run_slot,
+    RoundId round, const common::Deadline& deadline, std::size_t& retries) const {
   std::vector<auction::AuctionOutcome> slots(count);
   std::vector<std::size_t> pending(count);
   std::iota(pending.begin(), pending.end(), std::size_t{0});
@@ -557,7 +562,7 @@ std::vector<auction::AuctionOutcome> CampaignService::run_slots(
           try {
             common::fault_point(config_.fault_injector.get(), common::FailPoint::kShardRun, round,
                                 attempt * count + slot);
-            slots[slot] = engine_.run_one_isolated(*instances[slot], config_.mechanism);
+            slots[slot] = run_slot(slot);
           } catch (const std::exception& e) {
             // An injected shard failure lands exactly where a real one would:
             // a dead slot for the merge policy to rule on.

@@ -8,10 +8,13 @@
 //     const auto outcome = service.wait_outcome(id);      // or poll_outcome
 //
 // Rounds flow through a bounded submission queue into a single dispatcher
-// thread, which partitions each round by geo cell (service/shard.hpp), runs
-// the per-shard mechanisms as one pass over the auction::Engine's thread
-// pool — the pool is where the concurrency lives; the dispatcher only
-// orchestrates — and merges the shard outcomes back into one round outcome.
+// thread, which partitions each round by geo cell into per-shard CSR views
+// (service/shard.hpp), runs the per-shard mechanisms on those views as one
+// pass over the auction::Engine's thread pool — the pool is where the
+// concurrency lives, the partition's two passes included; the dispatcher
+// only orchestrates — and merges the shard outcomes back into one round
+// outcome. A round with a malformed bid fails whole (kFailed, the bid's
+// validation message) before any shard runs.
 // Every round, healthy or under retries and fault injection, takes this one
 // dispatch path: retries re-run only the dead shards in further passes.
 // Rounds complete strictly in submission order, which keeps the journal
@@ -289,8 +292,10 @@ std::string service_config_fingerprint(const ServiceConfig& config);
 class CampaignService {
  public:
   /// Starts the dispatcher. Throws PreconditionError on an invalid
-  /// configuration — including CriticalBidRule::kPaperIterationMin with
-  /// shard_count > 1 (not shard-decomposable, see shard.hpp) — and when the
+  /// configuration — including, with shard_count > 1,
+  /// CriticalBidRule::kPaperIterationMin (not shard-decomposable, see
+  /// shard.hpp) and multi_task.masked_rewards = false (the copied-probe path
+  /// needs an AoS instance; sharded rounds run on views) — and when the
   /// configured journal was written under a different fingerprint.
   explicit CampaignService(const ServiceConfig& config);
 
@@ -393,16 +398,17 @@ class CampaignService {
   /// destruction) and a synthetic kTimedOut outcome is returned.
   RoundOutcome run_guarded(Request request);
   RoundOutcome compute(const Request& request);
-  /// Runs a round's slots (its shard slices, or the whole instance) and
-  /// returns one engine slot each. Pass 0 runs every slot on the engine's
-  /// pool; pass k re-runs only the slots still dead, after one deadline-aware
-  /// backoff sleep on this thread, until retry.max_attempts passes. Slot s's
+  /// Runs a round's `count` slots (its shard views, or the whole instance)
+  /// through `run_slot` and returns one engine slot each. Pass 0 runs every
+  /// slot on the engine's pool; pass k re-runs only the slots still dead,
+  /// after one deadline-aware backoff sleep on this thread, until
+  /// retry.max_attempts passes. Slot s's
   /// attempt a evaluates kShardRun at hit a * slots + s, so a schedule's
   /// coordinates never depend on thread interleaving. `retries` accumulates
   /// the re-run slots.
   std::vector<auction::AuctionOutcome> run_slots(
-      const std::vector<const auction::MultiTaskInstance*>& instances, RoundId round,
-      const common::Deadline& deadline, std::size_t& retries) const;
+      std::size_t count, const std::function<auction::AuctionOutcome(std::size_t)>& run_slot,
+      RoundId round, const common::Deadline& deadline, std::size_t& retries) const;
   void journal_round(const RoundOutcome& outcome, std::size_t users, std::size_t tasks,
                      std::string& journal_error);
   void publish(RoundOutcome outcome);

@@ -1,7 +1,11 @@
 #include "service/shard.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <exception>
+#include <limits>
 
+#include "auction/multi_task/gain.hpp"
 #include "common/check.hpp"
 #include "common/math.hpp"
 
@@ -41,105 +45,269 @@ std::size_t ShardMap::shard_of(geo::CellId cell) const {
 }
 
 // ---------------------------------------------------------------------------
-// partition_round
+// partition_views / partition_round
 // ---------------------------------------------------------------------------
 
-RoundPartition partition_round(const GeoRound& round, const ShardMap& map) {
+namespace {
+
+/// Users per partition chunk. Chunks are cut by user index alone, so the
+/// chunking never depends on the pool; the output is ordered by global id
+/// and does not depend on it either.
+constexpr std::size_t kChunkUsers = 1024;
+
+/// Owner value of an empty-task user: she is in no slice.
+constexpr std::uint32_t kUnassigned = std::numeric_limits<std::uint32_t>::max();
+
+/// One chunk's pass-1 tallies beyond the per-slice counts.
+struct ChunkTally {
+  std::size_t straddlers = 0;
+  std::size_t unassigned = 0;
+  std::size_t dropped = 0;
+  std::exception_ptr error;  ///< the chunk's lowest-id invalid bid, if any
+};
+
+/// The straddler protocol over slice indices (slices ascend by shard id, so
+/// the lowest slice is the lowest shard): the slice with the largest share
+/// Σ q of the bid, each share summed in the bid's task order, ties to the
+/// lowest slice. Each q is computed once, while summing its slice's share.
+std::uint32_t straddler_owner(const auction::MultiTaskUserBid& bid,
+                              const std::vector<std::uint32_t>& task_slice) {
+  const auto slice_at = [&](std::size_t k) {
+    return task_slice[static_cast<std::size_t>(bid.tasks[k])];
+  };
+  std::uint32_t owner = kUnassigned;
+  double best = 0.0;
+  for (std::size_t k = 0; k < bid.tasks.size(); ++k) {
+    const std::uint32_t slice = slice_at(k);
+    bool seen = false;
+    for (std::size_t e = 0; e < k && !seen; ++e) {
+      seen = slice_at(e) == slice;
+    }
+    if (seen) {
+      continue;
+    }
+    double share = 0.0;
+    for (std::size_t e = k; e < bid.tasks.size(); ++e) {
+      if (slice_at(e) == slice) {
+        share += common::contribution_from_pos(bid.pos[e]);
+      }
+    }
+    if (owner == kUnassigned || share > best || (share == best && slice < owner)) {
+      owner = slice;
+      best = share;
+    }
+  }
+  return owner;
+}
+
+}  // namespace
+
+RoundPartition partition_views(const GeoRound& round, const ShardMap& map,
+                               common::ThreadPool& pool) {
   const auto& instance = round.instance;
   const std::size_t num_tasks = instance.num_tasks();
   MCS_EXPECTS(round.task_cells.size() == num_tasks,
               "GeoRound task_cells must align with the instance's tasks");
+  instance.validate_requirements();
 
   RoundPartition partition;
 
-  // Tasks first: every task lands in exactly one shard, and slices keep
+  // Tasks first: every task lands in exactly one slice, and slices keep
   // tasks in ascending global order so global→local index maps are monotone
   // (a user's ascending task list stays ascending after remapping).
   std::vector<std::size_t> task_shard(num_tasks);
-  std::vector<std::size_t> slice_of(map.shard_count(), static_cast<std::size_t>(-1));
-  std::vector<auction::TaskIndex> local_task(num_tasks, -1);
+  std::vector<bool> owns_task(map.shard_count(), false);
   for (std::size_t j = 0; j < num_tasks; ++j) {
     task_shard[j] = map.shard_of(round.task_cells[j]);
+    owns_task[task_shard[j]] = true;
   }
+  std::vector<std::uint32_t> slice_of(map.shard_count(), kUnassigned);
   for (std::size_t shard = 0; shard < map.shard_count(); ++shard) {
-    bool owns_task = false;
-    for (std::size_t j = 0; j < num_tasks; ++j) {
-      owns_task = owns_task || task_shard[j] == shard;
+    if (owns_task[shard]) {
+      slice_of[shard] = static_cast<std::uint32_t>(partition.shards.size());
+      partition.shards.emplace_back().shard = shard;
     }
-    if (!owns_task) {
-      continue;
-    }
-    slice_of[shard] = partition.shards.size();
-    ShardSlice slice;
-    slice.shard = shard;
-    partition.shards.push_back(std::move(slice));
   }
+  std::vector<std::uint32_t> task_slice(num_tasks);
+  std::vector<auction::TaskIndex> local_task(num_tasks);
   for (std::size_t j = 0; j < num_tasks; ++j) {
-    auto& slice = partition.shards[slice_of[task_shard[j]]];
+    task_slice[j] = slice_of[task_shard[j]];
+    auto& slice = partition.shards[task_slice[j]];
     local_task[j] = static_cast<auction::TaskIndex>(slice.global_tasks.size());
     slice.global_tasks.push_back(static_cast<auction::TaskIndex>(j));
-    slice.instance.requirement_pos.push_back(instance.requirement_pos[j]);
+    slice.view.requirements.push_back(common::contribution_from_pos(instance.requirement_pos[j]));
   }
 
-  // Users second, in ascending global id order, so each slice's local user
-  // order preserves global order and within-shard lowest-id tie-breaks match
-  // the flat run's.
-  struct ShardWeight {
-    std::size_t shard = 0;
-    double contribution = 0.0;
-  };
-  std::vector<ShardWeight> touched;  // reused across users; |task set| is small
-  for (std::size_t i = 0; i < instance.num_users(); ++i) {
-    const auto& bid = instance.users[i];
-    const auto user = static_cast<auction::UserId>(i);
-    if (bid.tasks.empty()) {
-      partition.unassigned_users.push_back(user);
-      continue;
+  // Pass 1: validate, pick owners, count users and kept entries per
+  // (chunk, slice).
+  const std::size_t n = instance.num_users();
+  const std::size_t slices = partition.shards.size();
+  const std::size_t chunks = (n + kChunkUsers - 1) / kChunkUsers;
+  std::vector<std::uint32_t> owner(n);
+  std::vector<std::size_t> user_cursor(chunks * slices, 0);
+  std::vector<std::size_t> entry_cursor(chunks * slices, 0);
+  std::vector<ChunkTally> tally(chunks);
+  pool.for_each_index(
+      chunks,
+      [&](std::size_t c) {
+        std::size_t* users = user_cursor.data() + c * slices;
+        std::size_t* entries = entry_cursor.data() + c * slices;
+        const std::size_t last = std::min(n, (c + 1) * kChunkUsers);
+        for (std::size_t i = c * kChunkUsers; i < last; ++i) {
+          const auto& bid = instance.users[i];
+          if (bid.tasks.empty()) {
+            owner[i] = kUnassigned;
+            ++tally[c].unassigned;
+            continue;
+          }
+          try {
+            bid.validate(num_tasks);
+          } catch (...) {
+            tally[c].error = std::current_exception();
+            return;  // later users of this chunk have higher ids
+          }
+          const std::uint32_t first = task_slice[static_cast<std::size_t>(bid.tasks[0])];
+          const bool straddles = std::any_of(bid.tasks.begin(), bid.tasks.end(),
+                                             [&](auction::TaskIndex task) {
+                                               return task_slice[task] != first;
+                                             });
+          const std::uint32_t own = straddles ? straddler_owner(bid, task_slice) : first;
+          const auto kept = static_cast<std::size_t>(
+              std::count_if(bid.tasks.begin(), bid.tasks.end(), [&](auction::TaskIndex task) {
+                return task_slice[task] == own;
+              }));
+          owner[i] = own;
+          ++users[own];
+          entries[own] += kept;
+          if (straddles) {
+            ++tally[c].straddlers;
+            tally[c].dropped += bid.tasks.size() - kept;
+          }
+        }
+      },
+      pool.worker_count());
+  for (const auto& chunk : tally) {
+    if (chunk.error) {
+      std::rethrow_exception(chunk.error);
     }
-    touched.clear();
-    for (std::size_t k = 0; k < bid.tasks.size(); ++k) {
-      const std::size_t shard = task_shard[static_cast<std::size_t>(bid.tasks[k])];
-      const double q = common::contribution_from_pos(bid.pos[k]);
-      auto it = std::find_if(touched.begin(), touched.end(),
-                             [shard](const ShardWeight& w) { return w.shard == shard; });
-      if (it == touched.end()) {
-        touched.push_back({shard, q});
-      } else {
-        it->contribution += q;
-      }
-    }
-    // Straddler protocol: owner = largest declared-contribution share, ties
-    // toward the lowest shard id (strict > keeps the first — and therefore
-    // lowest-id — of any later equal-weight shard from taking over after the
-    // sort below).
-    std::sort(touched.begin(), touched.end(),
-              [](const ShardWeight& a, const ShardWeight& b) { return a.shard < b.shard; });
-    std::size_t owner = touched.front().shard;
-    double best = touched.front().contribution;
-    for (std::size_t k = 1; k < touched.size(); ++k) {
-      if (touched[k].contribution > best) {
-        best = touched[k].contribution;
-        owner = touched[k].shard;
-      }
-    }
-    if (touched.size() > 1) {
-      partition.straddlers.push_back(user);
-    }
+  }
 
-    auto& slice = partition.shards[slice_of[owner]];
-    auction::MultiTaskUserBid local;
-    local.cost = bid.cost;
-    for (std::size_t k = 0; k < bid.tasks.size(); ++k) {
-      const auto task = static_cast<std::size_t>(bid.tasks[k]);
-      if (task_shard[task] == owner) {
-        local.tasks.push_back(local_task[task]);
-        local.pos.push_back(bid.pos[k]);
-      } else {
-        ++partition.dropped_task_entries;
+  // Serial prefix sums in chunk order: each (chunk, slice) count becomes
+  // that chunk's first write position in the slice, and each chunk's tallies
+  // its first position in the straddler / unassigned lists.
+  std::vector<std::size_t> straddler_cursor(chunks);
+  std::vector<std::size_t> unassigned_cursor(chunks);
+  std::size_t straddlers = 0;
+  std::size_t unassigned = 0;
+  for (std::size_t c = 0; c < chunks; ++c) {
+    straddler_cursor[c] = straddlers;
+    unassigned_cursor[c] = unassigned;
+    straddlers += tally[c].straddlers;
+    unassigned += tally[c].unassigned;
+    partition.dropped_task_entries += tally[c].dropped;
+  }
+  std::vector<std::size_t> slice_users(slices, 0);
+  std::vector<std::size_t> slice_entries(slices, 0);
+  for (std::size_t c = 0; c < chunks; ++c) {
+    for (std::size_t s = 0; s < slices; ++s) {
+      const std::size_t at = c * slices + s;
+      const std::size_t chunk_users = user_cursor[at];
+      const std::size_t chunk_entries = entry_cursor[at];
+      user_cursor[at] = slice_users[s];
+      entry_cursor[at] = slice_entries[s];
+      slice_users[s] += chunk_users;
+      slice_entries[s] += chunk_entries;
+    }
+  }
+  partition.straddlers.resize(straddlers);
+  partition.unassigned_users.resize(unassigned);
+  // Sized here, not on the pool: every column then comes from this thread's
+  // malloc arena, which the next round reuses, so peak RSS stays flat
+  // instead of varying with which worker allocated which slice.
+  for (std::size_t s = 0; s < slices; ++s) {
+    auto& slice = partition.shards[s];
+    slice.global_users.resize(slice_users[s]);
+    slice.view.offsets.resize(slice_users[s] + 1);
+    slice.view.costs.resize(slice_users[s]);
+    slice.view.initial_effective.resize(slice_users[s]);
+    slice.view.tasks.resize(slice_entries[s]);
+    slice.view.contributions.resize(slice_entries[s]);
+  }
+
+  // Pass 2: scatter every user into her slice's columns at her chunk's
+  // cursors. Every write lands on an index no other chunk writes.
+  pool.for_each_index(
+      chunks,
+      [&](std::size_t c) {
+        std::size_t* users = user_cursor.data() + c * slices;
+        std::size_t* entries = entry_cursor.data() + c * slices;
+        std::size_t next_straddler = straddler_cursor[c];
+        std::size_t next_unassigned = unassigned_cursor[c];
+        const std::size_t last = std::min(n, (c + 1) * kChunkUsers);
+        for (std::size_t i = c * kChunkUsers; i < last; ++i) {
+          const auto user = static_cast<auction::UserId>(i);
+          const std::uint32_t own = owner[i];
+          if (own == kUnassigned) {
+            partition.unassigned_users[next_unassigned++] = user;
+            continue;
+          }
+          const auto& bid = instance.users[i];
+          auto& slice = partition.shards[own];
+          auto& view = slice.view;
+          const std::size_t u = users[own]++;
+          const std::size_t begin = entries[own];
+          std::size_t end = begin;
+          for (std::size_t k = 0; k < bid.tasks.size(); ++k) {
+            const auto task = static_cast<std::size_t>(bid.tasks[k]);
+            if (task_slice[task] == own) {
+              view.tasks[end] = local_task[task];
+              view.contributions[end] = common::contribution_from_pos(bid.pos[k]);
+              ++end;
+            }
+          }
+          entries[own] = end;
+          if (end - begin < bid.tasks.size()) {
+            partition.straddlers[next_straddler++] = user;
+          }
+          slice.global_users[u] = user;
+          view.costs[u] = bid.cost;
+          view.offsets[u + 1] = end;
+          view.initial_effective[u] = auction::multi_task::effective_contribution(
+              {view.tasks.data() + begin, end - begin},
+              {view.contributions.data() + begin, end - begin}, view.requirements);
+        }
+      },
+      pool.worker_count());
+  return partition;
+}
+
+RoundPartition partition_round(const GeoRound& round, const ShardMap& map) {
+  auto partition = partition_views(round, map, common::ThreadPool::shared());
+  for (auto& slice : partition.shards) {
+    auto& local = slice.instance;
+    for (const auction::TaskIndex task : slice.global_tasks) {
+      local.requirement_pos.push_back(
+          round.instance.requirement_pos[static_cast<std::size_t>(task)]);
+    }
+    local.users.resize(slice.global_users.size());
+    for (std::size_t u = 0; u < slice.global_users.size(); ++u) {
+      const auto& bid = round.instance.users[static_cast<std::size_t>(slice.global_users[u])];
+      auto& kept = local.users[u];
+      const auto tasks = slice.view.user_tasks(static_cast<auction::UserId>(u));
+      kept.cost = bid.cost;
+      kept.tasks.assign(tasks.begin(), tasks.end());
+      kept.pos.reserve(tasks.size());
+      // Both task lists ascend in global order, so one forward walk over the
+      // bid finds every kept entry's PoS.
+      std::size_t k = 0;
+      for (const auction::TaskIndex task : tasks) {
+        const auction::TaskIndex global = slice.global_tasks[static_cast<std::size_t>(task)];
+        while (bid.tasks[k] != global) {
+          ++k;
+        }
+        kept.pos.push_back(bid.pos[k]);
       }
     }
-    slice.instance.users.push_back(std::move(local));
-    slice.global_users.push_back(user);
   }
   return partition;
 }

@@ -46,12 +46,26 @@
 // task geography, never on her declared values' magnitudes relative to other
 // users). With straddlers present, sharded outcomes legitimately differ from
 // flat; the partition reports exactly which users were restricted.
+//
+// Column form: a partitioned round leaves this layer as one CSR
+// auction::multi_task::MultiTaskView per shard, written by one two-pass
+// counting sort over fixed user chunks on a thread pool. Pass 1 validates
+// every non-empty bid, picks its owner (only straddlers compute q sums) and
+// counts users and kept entries per (chunk, slice); a serial prefix sum in
+// chunk order turns the counts into write offsets; pass 2 scatters every
+// user straight into her shard's columns, computing q once per kept entry.
+// Nothing is allocated per user, and the output is ordered by global id,
+// so it never depends on the chunking or the worker count. A malformed bid
+// fails the whole partition with MultiTaskInstance::validate's message for
+// the lowest-id offender.
 #pragma once
 
 #include <cstddef>
 #include <vector>
 
 #include "auction/engine.hpp"
+#include "auction/multi_task/view.hpp"
+#include "common/thread_pool.hpp"
 #include "geo/grid.hpp"
 
 namespace mcs::service {
@@ -102,12 +116,16 @@ struct GeoRound {
   std::vector<geo::CellId> task_cells;
 };
 
-/// One shard's slice of a partitioned round: a self-contained sub-instance
+/// One shard's slice of a partitioned round: a self-contained sub-auction
 /// whose local task/user ids map back to the round's global ids. Local order
 /// preserves global order (the partition is stable), so within-shard
 /// lowest-id tie-breaks match the flat run's.
 struct ShardSlice {
   std::size_t shard = 0;
+  /// The slice in CSR form, equal field for field to
+  /// MultiTaskView::from_instance of the slice's AoS form.
+  auction::multi_task::MultiTaskView view;
+  /// The AoS form; built only by partition_round, empty from partition_views.
   auction::MultiTaskInstance instance;
   std::vector<auction::TaskIndex> global_tasks;  ///< local task → global task
   std::vector<auction::UserId> global_users;     ///< local user → global user
@@ -126,10 +144,21 @@ struct RoundPartition {
   std::size_t dropped_task_entries = 0;
 };
 
-/// Splits a round into per-shard sub-auctions. Pure and deterministic:
-/// depends only on the round and the map, never on thread counts or
-/// scheduling. Requires task_cells aligned with the instance's tasks and
-/// valid cell ids; the instance itself is validated by the mechanism run.
+/// Splits a round into per-shard CSR views (the column form in the file
+/// header), running both passes on `pool`. Pure and deterministic: depends
+/// only on the round and the map, never on the pool's size or scheduling.
+/// Throws PreconditionError unless task_cells align with the instance's
+/// tasks and hold valid cell ids, every requirement passes
+/// MultiTaskInstance::validate_requirements, and every non-empty bid passes
+/// MultiTaskUserBid::validate; a bid error names the lowest-id offender.
+/// Empty-task users are reported as unassigned, never validated.
+RoundPartition partition_views(const GeoRound& round, const ShardMap& map,
+                               common::ThreadPool& pool);
+
+/// The AoS convenience: partition_views on the shared pool, plus each
+/// slice's MultiTaskInstance built from that same pass (owner and slice
+/// membership from the views; PoS copied verbatim from the round through
+/// global_users and global_tasks).
 RoundPartition partition_round(const GeoRound& round, const ShardMap& map);
 
 /// What a dead shard (kFailed / kTimedOut engine slot) does to the round.

@@ -8,21 +8,96 @@
 // into every preset's ctest run so a correctness regression in the hot path
 // can never hide behind a green unit suite. Carries the `parallel` label so
 // the tsan and asan-ubsan presets (which filter on that label) include it.
-// No timing assertions: sanitizer builds are legitimately slow.
+// No timing assertions: sanitizer builds are legitimately slow. Work is
+// gated on deterministic counters instead — here, heap allocations of the
+// sharded round's column partition, counted on every thread through the
+// replaced global operator new below.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <iostream>
 #include <limits>
+#include <new>
 #include <utility>
 
 #include "auction/multi_task/mechanism.hpp"
 #include "auction/single_task/mechanism.hpp"
 #include "bench_shapes.hpp"
+#include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "obs/telemetry.hpp"
+#include "service/shard.hpp"
 #include "sim/adversary.hpp"
 #include "test_util.hpp"
+
+// ---------------------------------------------------------------------------
+// All-thread allocation counter: while g_counting is set, every operator new
+// on any thread (pool workers included) bumps g_allocations.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+std::atomic<bool> g_counting{false};
+std::atomic<std::uint64_t> g_allocations{0};
+
+void* counted_allocate(std::size_t size) {
+  if (g_counting.load(std::memory_order_relaxed)) {
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (void* block = std::malloc(size == 0 ? 1 : size)) {
+    return block;
+  }
+  throw std::bad_alloc();
+}
+
+void* counted_allocate(std::size_t size, std::align_val_t alignment) {
+  if (g_counting.load(std::memory_order_relaxed)) {
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+  }
+  const auto align = static_cast<std::size_t>(alignment);
+  // aligned_alloc wants a size that is a multiple of the alignment.
+  const std::size_t rounded = ((size == 0 ? 1 : size) + align - 1) / align * align;
+  if (void* block = std::aligned_alloc(align, rounded)) {
+    return block;
+  }
+  throw std::bad_alloc();
+}
+
+}  // namespace
+
+void* operator new(std::size_t size) { return counted_allocate(size); }
+void* operator new[](std::size_t size) { return counted_allocate(size); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  try {
+    return counted_allocate(size);
+  } catch (...) {
+    return nullptr;
+  }
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  try {
+    return counted_allocate(size);
+  } catch (...) {
+    return nullptr;
+  }
+}
+void* operator new(std::size_t size, std::align_val_t alignment) {
+  return counted_allocate(size, alignment);
+}
+void* operator new[](std::size_t size, std::align_val_t alignment) {
+  return counted_allocate(size, alignment);
+}
+void operator delete(void* block) noexcept { std::free(block); }
+void operator delete[](void* block) noexcept { std::free(block); }
+void operator delete(void* block, std::size_t) noexcept { std::free(block); }
+void operator delete[](void* block, std::size_t) noexcept { std::free(block); }
+void operator delete(void* block, std::align_val_t) noexcept { std::free(block); }
+void operator delete[](void* block, std::align_val_t) noexcept { std::free(block); }
+void operator delete(void* block, std::size_t, std::align_val_t) noexcept { std::free(block); }
+void operator delete[](void* block, std::size_t, std::align_val_t) noexcept { std::free(block); }
 
 namespace mcs::auction::multi_task {
 namespace {
@@ -186,6 +261,65 @@ TEST(PerfSmoke, BothCriticalBidRulesSurviveTheSweep) {
   const auto instance = bench_shapes::scaling_instance(20, 6, 3, 0.6);
   test::expect_identical_outcome(run_mechanism(instance, lazy),
                                  run_mechanism(instance, reference));
+}
+
+/// A service_load-style round at 128 tasks in 16 residue classes, with ~7.5%
+/// straddlers and ~3% empty-task users so every partition branch runs.
+service::GeoRound partition_gate_round(std::size_t users, std::uint64_t seed) {
+  constexpr std::size_t kTasks = 128;
+  constexpr std::int64_t kGroups = 16;
+  service::GeoRound round;
+  round.instance.requirement_pos.assign(kTasks, 0.35);
+  for (std::size_t j = 0; j < kTasks; ++j) {
+    round.task_cells.push_back(static_cast<geo::CellId>(j));
+  }
+  common::Rng rng(seed);
+  round.instance.users.resize(users);
+  for (auto& bid : round.instance.users) {
+    bid.cost = rng.uniform(5.0, 25.0);
+    const double draw = rng.uniform(0.0, 1.0);
+    if (draw < 0.03) {
+      continue;
+    }
+    const auto group = rng.uniform_int(0, kGroups - 1);
+    const auto other = draw < 0.105 ? (group + 1 + rng.uniform_int(0, kGroups - 2)) % kGroups
+                                    : kGroups;
+    for (std::int64_t j = 0; j < static_cast<std::int64_t>(kTasks); ++j) {
+      if ((j % kGroups == group && rng.uniform(0.0, 1.0) < 0.5) || j == other) {
+        bid.tasks.push_back(static_cast<TaskIndex>(j));
+        bid.pos.push_back(rng.uniform(0.1, 0.5));
+      }
+    }
+  }
+  return round;
+}
+
+TEST(PerfSmoke, ColumnPartitionAllocationsDoNotGrowWithUsers) {
+  // The sharded round's partition writes each shard's CSR columns with no
+  // per-user allocation, so its allocation count (on every thread) is a
+  // function of the shard and worker counts alone — the same at 10k and
+  // 40k users. The AoS partition it replaced made ~6 per user. A fresh pool
+  // per measurement keeps the pool's own queue bookkeeping identical.
+  const obs::ScopedTelemetry off(false);
+  const service::ShardMap map(16);
+  auto allocations = [&](std::size_t users) {
+    const auto round = partition_gate_round(users, 77);
+    common::ThreadPool pool(4);
+    g_allocations.store(0);
+    g_counting.store(true);
+    const auto partition = service::partition_views(round, map, pool);
+    g_counting.store(false);
+    EXPECT_EQ(partition.shards.size(), 16u);
+    EXPECT_GT(partition.straddlers.size(), 0u);
+    EXPECT_GT(partition.unassigned_users.size(), 0u);
+    return g_allocations.load();
+  };
+  const auto small = allocations(10000);
+  const auto large = allocations(40000);
+  EXPECT_EQ(small, large);
+  EXPECT_LT(large, 1000u);
+  std::cout << "[perf-smoke] column partition allocations: " << small << " at 10k users, "
+            << large << " at 40k\n";
 }
 
 }  // namespace

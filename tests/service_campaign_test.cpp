@@ -9,12 +9,14 @@
 #include <condition_variable>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -139,6 +141,40 @@ TEST(CampaignServiceApi, ConcurrentWaitersGetExactlyOneDelivery) {
   EXPECT_EQ(refused.load(), 1);
 }
 
+TEST(CampaignServiceApi, MalformedBidsFailAShardedRoundWhole) {
+  // Out-of-range task ids and misaligned PoS arrays used to be read by the
+  // partition before anything validated them (undefined behaviour). The
+  // partition now validates every bid up front: the round fails whole, with
+  // MultiTaskUserBid::validate's message and no "shard s:" prefix, and the
+  // service keeps serving.
+  ServiceConfig config;
+  config.shards = ShardMap(4);
+  CampaignService service{config};
+  const std::size_t tasks = 6;
+  const std::vector<std::pair<std::string, std::function<void(auction::MultiTaskUserBid&)>>>
+      corruptions = {
+          {"task index out of range",
+           [&](auto& bid) { bid.tasks.back() = static_cast<auction::TaskIndex>(tasks); }},
+          {"task index out of range", [](auto& bid) { bid.tasks.front() = -1; }},
+          {"task set and PoS arrays must be aligned", [](auto& bid) { bid.pos.pop_back(); }},
+          {"costs must be strictly positive", [](auto& bid) { bid.cost = -1.0; }},
+      };
+  for (std::size_t k = 0; k < corruptions.size(); ++k) {
+    auto bad = celled_round(40, tasks, 60 + k);
+    corruptions[k].second(bad.instance.users[7]);
+    const auto bad_id = service.submit_round(std::move(bad));
+    const auto good_id = service.submit_round(celled_round(40, tasks, 70 + k));
+    const auto bad_outcome = service.wait_outcome(bad_id);
+    EXPECT_EQ(bad_outcome.status, auction::AuctionStatus::kFailed) << corruptions[k].first;
+    EXPECT_NE(bad_outcome.error.find(corruptions[k].first), std::string::npos)
+        << bad_outcome.error;
+    EXPECT_EQ(bad_outcome.error.find("shard "), std::string::npos) << bad_outcome.error;
+    EXPECT_TRUE(bad_outcome.outcome.allocation.winners.empty());
+    EXPECT_EQ(service.wait_outcome(good_id).status, auction::AuctionStatus::kOk);
+  }
+  EXPECT_EQ(service.stats().failed, corruptions.size());
+}
+
 TEST(CampaignServiceApi, PollReturnsNulloptUntilCompleteAndDrainWaits) {
   CampaignService service{ServiceConfig{}};
   std::vector<RoundId> ids;
@@ -175,6 +211,18 @@ TEST(CampaignServiceApi, PaperIterationMinRefusedWhenSharded) {
   EXPECT_THROW(CampaignService{config}, common::PreconditionError);
   config.shards = ShardMap(1);  // not shard-decomposable, but unsharded is fine
   EXPECT_NO_THROW(CampaignService{config});
+}
+
+TEST(CampaignServiceApi, CopiedProbeRewardsRefusedWhenSharded) {
+  // Sharded rounds run on CSR views, and the copied-probe reward path
+  // re-solves on an AoS instance that a view does not carry.
+  ServiceConfig config;
+  config.shards = ShardMap(2);
+  config.mechanism.multi_task.masked_rewards = false;
+  EXPECT_THROW(CampaignService{config}, common::PreconditionError);
+  config.shards = ShardMap(1);  // the pass-through still runs on the instance
+  CampaignService service{config};
+  EXPECT_TRUE(service.wait_outcome(service.submit_round(flat_round(10, 3, 8))).ok());
 }
 
 // ---------------------------------------------------------------------------

@@ -8,6 +8,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -15,7 +18,9 @@
 #include "auction/engine.hpp"
 #include "auction/multi_task/mechanism.hpp"
 #include "common/check.hpp"
+#include "common/math.hpp"
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "test_util.hpp"
 
 namespace mcs::service {
@@ -230,6 +235,245 @@ TEST(StraddlerProtocol, MisalignedTaskCellsAreRejected) {
   round.instance = test::random_multi_task(4, 3, 0.5, 7);
   round.task_cells = {0, 1};  // one short
   EXPECT_THROW(partition_round(round, ShardMap(2)), common::PreconditionError);
+}
+
+// ---------------------------------------------------------------------------
+// Column partition: partition_views ≡ the AoS partition on any pool
+// ---------------------------------------------------------------------------
+
+/// The serial array-of-structs partition the column pass replaced, kept as
+/// its differential oracle: per-user vectors, q computed for every entry.
+RoundPartition reference_partition(const GeoRound& round, const ShardMap& map) {
+  const auto& instance = round.instance;
+  RoundPartition partition;
+  std::vector<std::size_t> task_shard(instance.num_tasks());
+  std::vector<std::size_t> slice_of(map.shard_count(), map.shard_count());
+  std::vector<TaskIndex> local_task(instance.num_tasks());
+  for (std::size_t j = 0; j < instance.num_tasks(); ++j) {
+    task_shard[j] = map.shard_of(round.task_cells[j]);
+  }
+  for (std::size_t shard = 0; shard < map.shard_count(); ++shard) {
+    if (std::find(task_shard.begin(), task_shard.end(), shard) != task_shard.end()) {
+      slice_of[shard] = partition.shards.size();
+      partition.shards.emplace_back().shard = shard;
+    }
+  }
+  for (std::size_t j = 0; j < instance.num_tasks(); ++j) {
+    auto& slice = partition.shards[slice_of[task_shard[j]]];
+    local_task[j] = static_cast<TaskIndex>(slice.global_tasks.size());
+    slice.global_tasks.push_back(static_cast<TaskIndex>(j));
+    slice.instance.requirement_pos.push_back(instance.requirement_pos[j]);
+  }
+  for (std::size_t i = 0; i < instance.num_users(); ++i) {
+    const auto& bid = instance.users[i];
+    const auto user = static_cast<UserId>(i);
+    if (bid.tasks.empty()) {
+      partition.unassigned_users.push_back(user);
+      continue;
+    }
+    std::vector<std::pair<std::size_t, double>> touched;  // (shard, Σ q)
+    for (std::size_t k = 0; k < bid.tasks.size(); ++k) {
+      const std::size_t shard = task_shard[static_cast<std::size_t>(bid.tasks[k])];
+      const double q = common::contribution_from_pos(bid.pos[k]);
+      auto it = std::find_if(touched.begin(), touched.end(),
+                             [shard](const auto& w) { return w.first == shard; });
+      if (it == touched.end()) {
+        touched.emplace_back(shard, q);
+      } else {
+        it->second += q;
+      }
+    }
+    std::sort(touched.begin(), touched.end());
+    auto owner = touched.front();
+    for (const auto& weight : touched) {
+      if (weight.second > owner.second) {
+        owner = weight;
+      }
+    }
+    if (touched.size() > 1) {
+      partition.straddlers.push_back(user);
+    }
+    auto& slice = partition.shards[slice_of[owner.first]];
+    MultiTaskUserBid local;
+    local.cost = bid.cost;
+    for (std::size_t k = 0; k < bid.tasks.size(); ++k) {
+      const auto task = static_cast<std::size_t>(bid.tasks[k]);
+      if (task_shard[task] == owner.first) {
+        local.tasks.push_back(local_task[task]);
+        local.pos.push_back(bid.pos[k]);
+      } else {
+        ++partition.dropped_task_entries;
+      }
+    }
+    slice.instance.users.push_back(std::move(local));
+    slice.global_users.push_back(user);
+  }
+  return partition;
+}
+
+/// A residue-pure round over 64 tasks in 16 classes, then ~7.5% of users
+/// also bid on one task of another class (straddlers at every shard count
+/// that separates the two classes) and ~3% declare no task at all.
+GeoRound straddling_round(std::size_t n, std::uint64_t seed) {
+  auto round = residue_pure_round(n, 64, 16, 0.35, seed);
+  common::Rng rng(seed ^ 0x5ad);
+  for (auto& bid : round.instance.users) {
+    const double draw = rng.uniform(0.0, 1.0);
+    if (draw < 0.03) {
+      bid.tasks.clear();
+      bid.pos.clear();
+    } else if (draw < 0.105) {
+      const auto cls = (bid.tasks.front() % 16 + 1 + rng.uniform_int(0, 14)) % 16;
+      const auto task = static_cast<TaskIndex>(cls + 16 * rng.uniform_int(0, 3));
+      const auto at = std::lower_bound(bid.tasks.begin(), bid.tasks.end(), task);
+      bid.pos.insert(bid.pos.begin() + (at - bid.tasks.begin()), rng.uniform(0.05, 0.5));
+      bid.tasks.insert(at, task);
+    }
+  }
+  return round;
+}
+
+/// Byte-for-byte column equality (EXPECT_EQ on doubles would let -0.0 pass
+/// for 0.0).
+template <typename Column>
+void expect_same_bits(const Column& a, const Column& b, const char* column) {
+  ASSERT_EQ(a.size(), b.size()) << column;
+  if (!a.empty()) {
+    EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(a[0])), 0) << column;
+  }
+}
+
+void expect_same_view(const auction::multi_task::MultiTaskView& a,
+                      const auction::multi_task::MultiTaskView& b) {
+  expect_same_bits(a.offsets, b.offsets, "offsets");
+  expect_same_bits(a.tasks, b.tasks, "tasks");
+  expect_same_bits(a.contributions, b.contributions, "contributions");
+  expect_same_bits(a.costs, b.costs, "costs");
+  expect_same_bits(a.requirements, b.requirements, "requirements");
+  expect_same_bits(a.initial_effective, b.initial_effective, "initial_effective");
+}
+
+void expect_same_membership(const RoundPartition& a, const RoundPartition& b) {
+  EXPECT_EQ(a.straddlers, b.straddlers);
+  EXPECT_EQ(a.unassigned_users, b.unassigned_users);
+  EXPECT_EQ(a.dropped_task_entries, b.dropped_task_entries);
+  ASSERT_EQ(a.shards.size(), b.shards.size());
+  for (std::size_t s = 0; s < a.shards.size(); ++s) {
+    EXPECT_EQ(a.shards[s].shard, b.shards[s].shard);
+    EXPECT_EQ(a.shards[s].global_tasks, b.shards[s].global_tasks);
+    EXPECT_EQ(a.shards[s].global_users, b.shards[s].global_users);
+  }
+}
+
+TEST(ColumnPartition, ViewsMatchTheAosPartitionOnEveryPool) {
+  for (const std::uint64_t seed : {1ull, 2ull}) {
+    // 3000 users span three partition chunks.
+    const auto round = straddling_round(3000, seed);
+    for (const std::size_t shard_count : {2u, 4u, 16u}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + ", " + std::to_string(shard_count) +
+                   " shards");
+      const ShardMap map(shard_count);
+      const auto aos = partition_round(round, map);
+      EXPECT_GT(aos.straddlers.size(), 0u);
+      EXPECT_GT(aos.unassigned_users.size(), 0u);
+
+      // The AoS convenience reproduces the serial oracle exactly.
+      const auto reference = reference_partition(round, map);
+      expect_same_membership(aos, reference);
+      for (std::size_t s = 0; s < aos.shards.size(); ++s) {
+        const auto& local = aos.shards[s].instance;
+        const auto& expected = reference.shards[s].instance;
+        EXPECT_EQ(local.requirement_pos, expected.requirement_pos);
+        ASSERT_EQ(local.num_users(), expected.num_users());
+        for (std::size_t u = 0; u < local.num_users(); ++u) {
+          EXPECT_EQ(local.users[u].tasks, expected.users[u].tasks);
+          EXPECT_EQ(local.users[u].pos, expected.users[u].pos);
+          EXPECT_EQ(local.users[u].cost, expected.users[u].cost);
+        }
+      }
+
+      // Every slice's view is the view of its AoS form, whatever the pool.
+      for (const std::size_t workers : {1u, 4u}) {
+        common::ThreadPool pool(workers);
+        const auto columns = partition_views(round, map, pool);
+        expect_same_membership(columns, aos);
+        for (std::size_t s = 0; s < columns.shards.size(); ++s) {
+          EXPECT_TRUE(columns.shards[s].instance.users.empty());
+          expect_same_view(columns.shards[s].view,
+                           auction::multi_task::MultiTaskView::from_instance(
+                               aos.shards[s].instance));
+        }
+      }
+    }
+  }
+}
+
+TEST(ColumnPartition, EngineRunsViewsBitIdenticallyToInstances) {
+  const auto round = straddling_round(1500, 3);
+  const auction::Engine engine(auction::EngineOptions{.workers = 4});
+  const auction::MechanismConfig config{};
+  std::size_t paid = 0;  // the reward phase must run, not just the cover
+  for (const std::size_t shard_count : {2u, 4u, 16u}) {
+    const auto partition = partition_round(round, ShardMap(shard_count));
+    for (const auto& slice : partition.shards) {
+      const auto on_view = engine.run_one_isolated(slice.view, config);
+      const auto on_instance = engine.run_one_isolated(slice.instance, config);
+      ASSERT_EQ(on_view.status, on_instance.status) << on_view.error;
+      EXPECT_EQ(on_view.error, on_instance.error);
+      test::expect_identical_outcome(on_view.outcome, on_instance.outcome);
+      paid += on_view.outcome.rewards.size();
+    }
+  }
+  EXPECT_GT(paid, 0u);
+  // The copied-probe reward path needs the instance; a view slot refuses it.
+  auction::MechanismConfig copied;
+  copied.multi_task.masked_rewards = false;
+  const auto partition = partition_round(round, ShardMap(2));
+  EXPECT_EQ(engine.run_one_isolated(partition.shards[0].view, copied).status,
+            auction::AuctionStatus::kFailed);
+}
+
+TEST(ColumnPartition, ZeroTaskRoundReportsEveryUserUnassigned) {
+  GeoRound round;
+  round.instance.users.resize(3);  // no tasks, so no slice and no bid to place
+  common::ThreadPool pool(2);
+  const auto partition = partition_views(round, ShardMap(4), pool);
+  EXPECT_TRUE(partition.shards.empty());
+  EXPECT_EQ(partition.unassigned_users, (std::vector<UserId>{0, 1, 2}));
+}
+
+TEST(ColumnPartition, LowestIdInvalidBidFailsThePartitionOnEveryPool) {
+  auto round = straddling_round(3000, 4);
+  auto& users = round.instance.users;
+  // Two malformed bids in different chunks; the lower id must win whatever
+  // order the chunks finish in.
+  auto non_empty_from = [&](std::size_t i) {
+    while (users[i].tasks.empty()) {
+      ++i;
+    }
+    return i;
+  };
+  const std::size_t low = non_empty_from(1500);
+  const std::size_t high = non_empty_from(2100);
+  users[high].cost = -1.0;
+  users[low].tasks.back() = 64;
+  std::string expected;
+  try {
+    users[low].validate(round.instance.num_tasks());
+  } catch (const common::PreconditionError& e) {
+    expected = e.what();
+  }
+  ASSERT_NE(expected.find("task index out of range"), std::string::npos);
+  for (const std::size_t workers : {1u, 4u}) {
+    common::ThreadPool pool(workers);
+    try {
+      partition_views(round, ShardMap(4), pool);
+      ADD_FAILURE() << "partition accepted a malformed round";
+    } catch (const common::PreconditionError& e) {
+      EXPECT_EQ(e.what(), expected) << workers << " workers";
+    }
+  }
+  EXPECT_THROW(partition_round(round, ShardMap(4)), common::PreconditionError);
 }
 
 // ---------------------------------------------------------------------------
