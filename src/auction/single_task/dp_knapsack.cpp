@@ -303,13 +303,16 @@ std::vector<FrontierEntry> min_knapsack_frontier(std::span<const KnapsackItem> i
 std::optional<KnapsackSolution> solve_min_knapsack(std::span<const KnapsackItem> items,
                                                    double requirement,
                                                    const common::Deadline& deadline,
-                                                   DpKernel kernel) {
+                                                   DpKernel kernel,
+                                                   std::optional<std::int64_t> cost_cap) {
   MCS_EXPECTS(requirement >= 0.0, "requirement must be non-negative");
+  MCS_EXPECTS(!cost_cap.has_value() || *cost_cap >= 0, "cost cap must be non-negative");
   check_items(items);
+  const std::int64_t cap = cost_cap.value_or(-1);  // the sweeps read -1 as "no cap"
   // Minimum-cost feasible state: the frontier is cost-ascending, so the first
   // state meeting the requirement is optimal.
   if (kernel == DpKernel::kScalarOracle) {
-    const auto [pool, frontier] = sweep(items, requirement, /*cost_cap=*/-1, deadline);
+    const auto [pool, frontier] = sweep(items, requirement, cap, deadline);
     for (std::int32_t state_index : frontier) {
       const State& state = pool[static_cast<std::size_t>(state_index)];
       if (common::approx_ge(state.contribution, requirement)) {
@@ -319,7 +322,7 @@ std::optional<KnapsackSolution> solve_min_knapsack(std::span<const KnapsackItem>
     return std::nullopt;
   }
   const ColumnsResult result =
-      sweep_columns(items, requirement, /*cost_cap=*/-1, deadline, /*track_parents=*/true);
+      sweep_columns(items, requirement, cap, deadline, /*track_parents=*/true);
   for (std::size_t i = 0; i < result.costs.size(); ++i) {
     if (common::approx_ge(result.contribs[i], requirement)) {
       return reconstruct_columns(result, i);

@@ -77,10 +77,20 @@ std::vector<FrontierEntry> min_knapsack_frontier(std::span<const KnapsackItem> i
 /// `requirement` during the DP (capping preserves optimality for a covering
 /// constraint and sharpens dominance pruning). The sweep polls `deadline`
 /// once per item and throws common::DeadlineExceeded when it expires.
-std::optional<KnapsackSolution> solve_min_knapsack(std::span<const KnapsackItem> items,
-                                                   double requirement,
-                                                   const common::Deadline& deadline = {},
-                                                   DpKernel kernel = DpKernel::kColumns);
+///
+/// `cost_cap` (>= 0 when set) drops every state costing more than it during
+/// the sweep. The frontier is cost-ordered and an extension never costs
+/// less than the state it extends, so the states at or below the cap are
+/// the uncapped sweep's states with the same values, in the same order,
+/// with the same reconstruction links. Hence: when the uncapped cover costs
+/// at most `cost_cap` the result is identical (items, total cost, total
+/// contribution, tie-breaks included); otherwise it is nullopt. The
+/// single-task probe context passes a cap it has already proven to bound the
+/// cover, to make its exact re-solves cheaper without changing them.
+std::optional<KnapsackSolution> solve_min_knapsack(
+    std::span<const KnapsackItem> items, double requirement,
+    const common::Deadline& deadline = {}, DpKernel kernel = DpKernel::kColumns,
+    std::optional<std::int64_t> cost_cap = std::nullopt);
 
 /// The dual form Algorithm 1's discussion also describes: the
 /// maximum-contribution subset whose total scaled cost stays within

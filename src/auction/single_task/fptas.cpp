@@ -278,11 +278,15 @@ FptasProbeContext::FptasProbeContext(const SingleTaskInstance& instance,
     }
     // Reassociation band: the oracle folds the probed contribution in at
     // slot m while the fast path appends it to a finished without-winner
-    // fold. Both are sums of <= k+1 terms whose intermediates stay below
-    // fold_magnitude, so they differ by at most (k+2) rounding steps; the
-    // factor 4 is headroom.
-    sub.band = 4.0 * static_cast<double>(k + 2) *
-               std::numeric_limits<double>::epsilon() * fold_magnitude;
+    // fold. For a subset of p items both are sums of p+1 terms whose
+    // intermediates stay below fold_magnitude, so they differ by at most
+    // (p+2) rounding steps; the factor 4 is headroom. Lacking a tighter
+    // bound, p = k covers every without-winner subset (at most k-1 items).
+    const auto band_for = [&](std::size_t p) {
+      return 4.0 * static_cast<double>(p + 2) * std::numeric_limits<double>::epsilon() *
+             fold_magnitude;
+    };
+    sub.band = band_for(k);
     // Window-prune the stored frontier. Below: states whose contribution
     // cannot reach the requirement even with the largest legal probe are
     // never feasible. Above: the scan for the cheapest cover stops at the
@@ -297,18 +301,32 @@ FptasProbeContext::FptasProbeContext(const SingleTaskInstance& instance,
       ++begin;
     }
     std::size_t end = begin;
-    while (end < sub.frontier.size()) {
-      const bool certainly_feasible_alone =
-          common::approx_ge(sub.frontier[end].contribution - sub.band, requirement_);
+    bool ends_at_cover = false;
+    while (end < sub.frontier.size() && !ends_at_cover) {
+      ends_at_cover = common::approx_ge(sub.frontier[end].contribution - sub.band, requirement_);
       ++end;
-      if (certainly_feasible_alone) {
-        break;
-      }
     }
     sub.frontier.erase(sub.frontier.begin() + static_cast<std::ptrdiff_t>(end),
                        sub.frontier.end());
     sub.frontier.erase(sub.frontier.begin(),
                        sub.frontier.begin() + static_cast<std::ptrdiff_t>(begin));
+    // Cardinality-bounded band (DESIGN.md §8). Only without-winner subsets
+    // costing at most the last kept entry can decide a probe, and such a
+    // subset holds at most p_max items: the largest p whose p cheapest
+    // scaled costs fit under that cost (`items` is cost-sorted). The window
+    // above, pruned with the wider band, is a superset of the one the
+    // tight band would keep. With a zero scaled cost the count is not
+    // bounded by cost, so the k-term band stays.
+    if (ends_at_cover && !items.empty() && items.front().scaled_cost > 0) {
+      const std::int64_t cost_bound = sub.frontier.back().scaled_cost;
+      std::size_t p_max = 0;
+      std::int64_t cheapest_sum = 0;
+      while (p_max < items.size() && cheapest_sum + items[p_max].scaled_cost <= cost_bound) {
+        cheapest_sum += items[p_max].scaled_cost;
+        ++p_max;
+      }
+      sub.band = band_for(p_max);
+    }
   }
 }
 
@@ -344,7 +362,10 @@ FptasProbeContext::CoverBounds FptasProbeContext::with_winner_cover_bounds(
 }
 
 FptasProbeContext::ExactSubproblem FptasProbeContext::solve_subproblem_exact(
-    std::size_t k, double probe_q) const {
+    std::size_t k, double probe_q, std::int64_t cost_cap) const {
+  if (counters_ != nullptr) {
+    ++counters_->dp_reuse_exact_solves;
+  }
   // Rebuild subproblem k's item list exactly as solve_fptas does — all k
   // users in (cost, id) order, the probed winner at slot m, the same μ/floor
   // arithmetic — and run the real Algorithm 1 DP on it. The result is
@@ -359,7 +380,7 @@ FptasProbeContext::ExactSubproblem FptasProbeContext::solve_subproblem_exact(
         sub.mu > 0.0 ? static_cast<std::int64_t>(std::floor(sorted_costs_[j] / sub.mu)) : 0;
     items.push_back({j == position_ ? probe_q : sorted_contributions_[j], scaled});
   }
-  const auto solution = solve_min_knapsack(items, requirement_, deadline_, kernel_);
+  const auto solution = solve_min_knapsack(items, requirement_, deadline_, kernel_, cost_cap);
   ExactSubproblem exact;
   if (!solution.has_value()) {
     return exact;
@@ -461,7 +482,11 @@ bool FptasProbeContext::wins(double declared_q) {
       }
       // Still a contender: re-solve just this subproblem exactly.
       resolved_exactly = true;
-      const ExactSubproblem exact = solve_subproblem_exact(k, probe_q);
+      // The cover costs at most the cheaper of the exact without-winner
+      // cover and the certified with-winner upper bound, so a DP capped
+      // there returns the uncapped answer.
+      const ExactSubproblem exact = solve_subproblem_exact(
+          k, probe_q, std::min(sub.cover_without_winner, with_winner.hi));
       if (!exact.feasible) {
         continue;
       }
@@ -490,7 +515,9 @@ bool FptasProbeContext::wins(double declared_q) {
     // best needs this: an ambiguous k overwritten later in the argmin never
     // decides membership.)
     resolved_exactly = true;
-    const ExactSubproblem exact = solve_subproblem_exact(best_k, probe_q);
+    // An ambiguous cover is the exact without-winner cover: cap there.
+    const ExactSubproblem exact =
+        solve_subproblem_exact(best_k, probe_q, subproblems_[best_k].cover_without_winner);
     MCS_ENSURES(exact.feasible, "tied subproblem must stay feasible under exact re-solve");
     MCS_ENSURES(static_cast<double>(exact.cover) * subproblems_[best_k].mu == best_scaled_value,
                 "exact re-solve must reproduce the certified cover cost");

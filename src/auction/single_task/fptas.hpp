@@ -76,9 +76,16 @@ Allocation solve_fptas(const SingleTaskInstance& instance, const BidColumns& col
 /// subproblem — or an exact scaled-cost tie makes membership
 /// order-dependent — only THAT subproblem is re-solved exactly with the
 /// real Algorithm 1 DP on the oracle's own item list, which reproduces the
-/// oracle's values and tie-breaking state order for 1/n-th the cost of a
-/// full solve. A genuine full solve remains only for probes above the
-/// build-time declaration, where the pruned tables are not conservative.
+/// oracle's values and tie-breaking state order. The band covers the
+/// cardinality of a subset that can still decide the probe (a competitive
+/// cover holds ~5 users, not all k), and each exact re-solve is capped at a
+/// cost the certificate has already proven to bound the cover. These
+/// re-solves are the fast path's main cost, not a rare event: on the
+/// Table II shape at n = 200 and ε = 0.1, 10.9% of probes fall back and
+/// each fallback re-runs ~65 subproblem DPs: 7.1 re-solves per probe (12.8
+/// with a band sized for all k items; DESIGN.md §8). A genuine full solve
+/// remains only for probes above the build-time declaration, where the
+/// pruned tables are not conservative.
 class FptasProbeContext {
  public:
   /// Builds the reusable tables for probing `winner`'s declarations in
@@ -87,8 +94,9 @@ class FptasProbeContext {
   /// requirement at the declared contribution; lower declarations only
   /// shrink that set). `counters` (borrowed, may be null) accumulates the
   /// build's rounds and deadline polls plus per-probe dp_reuse_hits /
-  /// dp_reuse_fallbacks; the caller counts probes. Polls `deadline` once
-  /// per subproblem, like solve_fptas.
+  /// dp_reuse_fallbacks and per-subproblem dp_reuse_exact_solves; the
+  /// caller counts probes. Polls `deadline` once per subproblem, like
+  /// solve_fptas.
   FptasProbeContext(const SingleTaskInstance& instance, UserId winner, double epsilon,
                     common::Deadline deadline = {}, obs::PhaseCounters* counters = nullptr,
                     DpKernel kernel = DpKernel::kColumns);
@@ -127,7 +135,8 @@ class FptasProbeContext {
     /// Min scaled cost of a without-winner cover; kNoCover when none.
     std::int64_t cover_without_winner = 0;
     /// Reassociation error band for "state contribution + probed q"
-    /// feasibility tests (the only reassociated comparison of a probe).
+    /// feasibility tests (the only reassociated comparison of a probe),
+    /// sized by the most items a probe-deciding subset can hold.
     double band = 0.0;
     std::vector<FrontierEntry> frontier;
   };
@@ -145,13 +154,17 @@ class FptasProbeContext {
   /// cost, scaled value, and membership — INCLUDING the DP's tie-breaking
   /// state order — are bit-identical to the full solve's. O(one DP) instead
   /// of the full solve's one-DP-per-subproblem; used when the certificate
-  /// cannot decide a comparison.
+  /// cannot decide a comparison. `cost_cap` must bound the subproblem's
+  /// cover cost from above (kNoCover when nothing is known): the capped DP
+  /// keeps every state at or below it unchanged, so the result is the
+  /// uncapped one. Counts one dp_reuse_exact_solves.
   struct ExactSubproblem {
     bool feasible = false;
     std::int64_t cover = 0;
     bool winner_selected = false;
   };
-  ExactSubproblem solve_subproblem_exact(std::size_t k, double probe_q) const;
+  ExactSubproblem solve_subproblem_exact(std::size_t k, double probe_q,
+                                         std::int64_t cost_cap) const;
 
   CoverBounds with_winner_cover_bounds(const Subproblem& sub, double probe_q) const;
   bool fallback_wins(double declared_q);

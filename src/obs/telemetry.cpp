@@ -43,6 +43,8 @@ void append_phase_json(std::string& out, const PhaseCounters& phase) {
   append_json_number(out, phase.dp_reuse_hits);
   out += ",\"dp_reuse_fallbacks\":";
   append_json_number(out, phase.dp_reuse_fallbacks);
+  out += ",\"dp_reuse_exact_solves\":";
+  append_json_number(out, phase.dp_reuse_exact_solves);
   out += "}";
 }
 
@@ -73,6 +75,7 @@ PhaseCounters& PhaseCounters::operator+=(const PhaseCounters& other) {
   bisection_steps += other.bisection_steps;
   dp_reuse_hits += other.dp_reuse_hits;
   dp_reuse_fallbacks += other.dp_reuse_fallbacks;
+  dp_reuse_exact_solves += other.dp_reuse_exact_solves;
   return *this;
 }
 

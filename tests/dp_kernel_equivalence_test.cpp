@@ -24,9 +24,43 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+/// The cost-capped min-knapsack contract, under one kernel: a cap at or
+/// above the uncapped cover returns the uncapped solution bit for bit
+/// (items, total cost, contribution, so tie-breaks too), and a cap below it
+/// returns nullopt. An infeasible list stays infeasible under any cap.
+void expect_capped_solve_matches(const std::vector<KnapsackItem>& items, double requirement,
+                                 DpKernel kernel, const std::string& label) {
+  const auto uncapped = solve_min_knapsack(items, requirement, {}, kernel);
+  if (!uncapped.has_value()) {
+    for (const std::int64_t cap : {std::int64_t{0}, std::int64_t{1000},
+                                   std::numeric_limits<std::int64_t>::max()}) {
+      EXPECT_FALSE(solve_min_knapsack(items, requirement, {}, kernel, cap).has_value())
+          << label << " cap " << cap;
+    }
+    return;
+  }
+  const std::int64_t cover = uncapped->total_scaled_cost;
+  for (const std::int64_t cap :
+       {cover, cover + 1, 2 * cover + 5, std::numeric_limits<std::int64_t>::max()}) {
+    const auto capped = solve_min_knapsack(items, requirement, {}, kernel, cap);
+    ASSERT_TRUE(capped.has_value()) << label << " cap " << cap;
+    EXPECT_EQ(capped->items, uncapped->items) << label << " cap " << cap;
+    EXPECT_EQ(capped->total_scaled_cost, uncapped->total_scaled_cost) << label << " cap " << cap;
+    EXPECT_EQ(capped->total_contribution, uncapped->total_contribution)
+        << label << " cap " << cap;
+  }
+  if (cover > 0) {
+    for (const std::int64_t cap : {std::int64_t{0}, cover / 2, cover - 1}) {
+      EXPECT_FALSE(solve_min_knapsack(items, requirement, {}, kernel, cap).has_value())
+          << label << " cap " << cap << " below cover " << cover;
+    }
+  }
+}
+
 /// Bitwise comparison of every surface the two kernels expose for one item
-/// list: the frontier, the min-knapsack solution, and (when the items fit
-/// the budgeted form's preconditions) the max-knapsack solution.
+/// list: the frontier, the min-knapsack solution (uncapped and capped), and
+/// (when the items fit the budgeted form's preconditions) the max-knapsack
+/// solution.
 void expect_kernels_agree(const std::vector<KnapsackItem>& items, double requirement,
                           std::int64_t budget, const std::string& label) {
   const auto frontier_columns =
@@ -49,6 +83,8 @@ void expect_kernels_agree(const std::vector<KnapsackItem>& items, double require
     EXPECT_EQ(min_columns->total_scaled_cost, min_oracle->total_scaled_cost) << label;
     EXPECT_EQ(min_columns->total_contribution, min_oracle->total_contribution) << label;
   }
+  expect_capped_solve_matches(items, requirement, DpKernel::kColumns, label + " columns");
+  expect_capped_solve_matches(items, requirement, DpKernel::kScalarOracle, label + " oracle");
 
   const auto max_columns = solve_max_knapsack(items, budget, DpKernel::kColumns);
   const auto max_oracle = solve_max_knapsack(items, budget, DpKernel::kScalarOracle);

@@ -48,15 +48,21 @@ TEST(Telemetry, PhaseTimerUnarmedReadsZero) {
 
 TEST(Telemetry, PhaseCountersMergeFieldwise) {
   PhaseCounters a{.probes = 1, .deadline_polls = 2, .rounds = 3,
-                  .heap_reevaluations = 4, .bisection_steps = 5};
+                  .heap_reevaluations = 4, .bisection_steps = 5,
+                  .dp_reuse_hits = 6, .dp_reuse_fallbacks = 7, .dp_reuse_exact_solves = 8};
   const PhaseCounters b{.probes = 10, .deadline_polls = 20, .rounds = 30,
-                        .heap_reevaluations = 40, .bisection_steps = 50};
+                        .heap_reevaluations = 40, .bisection_steps = 50,
+                        .dp_reuse_hits = 60, .dp_reuse_fallbacks = 70,
+                        .dp_reuse_exact_solves = 80};
   a += b;
   EXPECT_EQ(a.probes, 11u);
   EXPECT_EQ(a.deadline_polls, 22u);
   EXPECT_EQ(a.rounds, 33u);
   EXPECT_EQ(a.heap_reevaluations, 44u);
   EXPECT_EQ(a.bisection_steps, 55u);
+  EXPECT_EQ(a.dp_reuse_hits, 66u);
+  EXPECT_EQ(a.dp_reuse_fallbacks, 77u);
+  EXPECT_EQ(a.dp_reuse_exact_solves, 88u);
 }
 
 TEST(Telemetry, MechanismTelemetryAggregationOrsEnabled) {
@@ -83,14 +89,17 @@ TEST(Telemetry, MechanismRecordJsonHasStableKeys) {
   record.enabled = true;
   record.degraded_events = 2;
   record.winner_determination.probes = 3;
+  record.rewards.dp_reuse_exact_solves = 68;
   const std::string json = to_json(record);
   for (const char* key :
        {"\"enabled\"", "\"winner_determination_seconds\"", "\"rewards_seconds\"",
         "\"degraded_events\"", "\"winner_determination\"", "\"rewards\"", "\"probes\"",
-        "\"deadline_polls\"", "\"rounds\"", "\"heap_reevaluations\"", "\"bisection_steps\""}) {
+        "\"deadline_polls\"", "\"rounds\"", "\"heap_reevaluations\"", "\"bisection_steps\"",
+        "\"dp_reuse_hits\"", "\"dp_reuse_fallbacks\"", "\"dp_reuse_exact_solves\""}) {
     EXPECT_NE(json.find(key), std::string::npos) << key << " missing from " << json;
   }
   EXPECT_NE(json.find("\"degraded_events\":2"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"dp_reuse_exact_solves\":68"), std::string::npos) << json;
 }
 
 TEST(Registry, MetricRegistrationIsIdempotent) {

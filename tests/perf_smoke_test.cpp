@@ -11,7 +11,8 @@
 // No timing assertions: sanitizer builds are legitimately slow. Work is
 // gated on deterministic counters instead — here, heap allocations of the
 // sharded round's column partition, counted on every thread through the
-// replaced global operator new below.
+// replaced global operator new below, and the single-task fast path's exact
+// re-solves and fallbacks per probe.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -169,6 +170,40 @@ TEST(PerfSmoke, SingleTaskFastProbesAgreeWithOracleAcrossTinyScalingSweep) {
   // The reward (critical-bid) phase only runs on feasible covers; the sweep
   // must exercise it, not just winner determination.
   EXPECT_GT(feasible, 0u);
+}
+
+TEST(PerfSmoke, SingleTaskFastPathWorkPerProbeStaysBounded) {
+  // Deterministic work gate for the critical-bid fast path on the
+  // benchmark's own shape (n = 200, default config, fast path only). A
+  // probe the reuse certificate cannot decide re-solves subproblem DPs
+  // exactly; those re-solves are the fast path's dominant cost, so their
+  // count per probe is the regression signal a timer on a shared host
+  // would miss. Seeds 1000-1015 average 7.1 exact solves and 0.109
+  // fallbacks per probe with the cardinality-bounded band; a band sized for
+  // all k items of a subproblem gives 12.8 and 0.189. On the two seeds
+  // below the values are 7.6 / 0.115 against 13.5 / 0.195, so the bounds
+  // sit between the two with headroom on both sides.
+  constexpr double kMaxExactSolvesPerProbe = 10.5;
+  constexpr double kMaxFallbacksPerProbe = 0.15;
+  const auction::MechanismConfig config;
+  obs::PhaseCounters rewards;
+  for (const std::uint64_t seed : {1000ull, 1001ull}) {
+    const auto instance = bench_shapes::single_task_scaling_instance(200, seed);
+    const obs::ScopedTelemetry telemetry(true);
+    const auto outcome = single_task::run_mechanism(instance, config);
+    ASSERT_TRUE(outcome.allocation.feasible) << "seed=" << seed;
+    rewards += outcome.telemetry.rewards;
+  }
+  ASSERT_GT(rewards.probes, 0u);
+  EXPECT_EQ(rewards.dp_reuse_hits + rewards.dp_reuse_fallbacks, rewards.probes);
+  const double probes = static_cast<double>(rewards.probes);
+  const double exact_per_probe = static_cast<double>(rewards.dp_reuse_exact_solves) / probes;
+  const double fallbacks_per_probe = static_cast<double>(rewards.dp_reuse_fallbacks) / probes;
+  std::cout << "[perf-smoke] single-task n=200 probes=" << rewards.probes
+            << " exact_solves_per_probe=" << exact_per_probe
+            << " fallbacks_per_probe=" << fallbacks_per_probe << "\n";
+  EXPECT_LT(exact_per_probe, kMaxExactSolvesPerProbe);
+  EXPECT_LT(fallbacks_per_probe, kMaxFallbacksPerProbe);
 }
 
 TEST(PerfSmoke, ColumnsDpKernelAgreesWithScalarOracleEndToEnd) {

@@ -15,6 +15,8 @@
 #include "auction/single_task/mechanism.hpp"
 #include "auction/single_task/min_greedy.hpp"
 #include "auction/single_task/reward.hpp"
+#include "bench_shapes.hpp"
+#include "common/distributions.hpp"
 #include "common/rng.hpp"
 #include "obs/telemetry.hpp"
 #include "test_util.hpp"
@@ -150,6 +152,81 @@ TEST_P(ProbeEquivalence, FastPathMatchesOracleBitIdentically) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Shards, ProbeEquivalence, ::testing::Range<std::uint64_t>(0, 5));
+
+// ---- Differential at scale ------------------------------------------------
+//
+// The instances above have n <= 12, where a competitive cover can hold
+// nearly every item of a subproblem, so the probe context's
+// cardinality-bounded reassociation band is never much tighter than the
+// k-item one. The shapes below reach n = 60, where covers hold a handful
+// of users out of dozens, and pin the tight band (Table II shape), a large
+// cardinality bound (many cheap low-PoS users), and the unbounded path a
+// zero scaled cost forces.
+
+/// Every winner's critical contribution and reward, fast path against the
+/// full-solve oracle, as exact doubles.
+void expect_rewards_match_oracle(const SingleTaskInstance& instance, double epsilon,
+                                 const std::string& label) {
+  SCOPED_TRACE(label + " epsilon=" + std::to_string(epsilon));
+  const auto allocation = solve_fptas(instance, epsilon);
+  ASSERT_TRUE(allocation.feasible);
+  RewardOptions fast{.alpha = 10.0, .epsilon = epsilon};
+  RewardOptions oracle = fast;
+  oracle.probe_strategy = ProbeStrategy::kFullSolve;
+  for (const UserId winner : allocation.winners) {
+    obs::PhaseCounters counters;
+    fast.counters = &counters;
+    const auto fast_reward = compute_reward(instance, winner, fast);
+    const auto oracle_reward = compute_reward(instance, winner, oracle);
+    EXPECT_EQ(fast_reward.critical_contribution, oracle_reward.critical_contribution)
+        << "winner " << winner;
+    EXPECT_EQ(fast_reward.reward.critical_pos, oracle_reward.reward.critical_pos)
+        << "winner " << winner;
+    EXPECT_EQ(fast_reward.reward.on_success(), oracle_reward.reward.on_success())
+        << "winner " << winner;
+    EXPECT_EQ(fast_reward.reward.on_failure(), oracle_reward.reward.on_failure())
+        << "winner " << winner;
+    EXPECT_EQ(counters.dp_reuse_hits + counters.dp_reuse_fallbacks, counters.probes)
+        << "winner " << winner;
+  }
+}
+
+TEST(ProbeEquivalenceAtScale, TableTwoShapeMatchesOracle) {
+  for (const std::size_t n : {40, 60}) {
+    for (const double epsilon : {0.1, 0.5}) {
+      expect_rewards_match_oracle(bench_shapes::single_task_scaling_instance(n, 7 + n), epsilon,
+                                  "table-ii n=" + std::to_string(n));
+    }
+  }
+}
+
+TEST(ProbeEquivalenceAtScale, ManyCheapUsersMatchOracle) {
+  // PoS 0.02-0.06 against a 0.6 requirement: a cover needs ~23 of the 36
+  // users, so the cardinality bound is large and the band stays wide.
+  common::Rng rng(4242);
+  SingleTaskInstance instance;
+  instance.requirement_pos = 0.6;
+  for (std::size_t k = 0; k < 36; ++k) {
+    instance.bids.push_back({common::sample_truncated_normal(rng, 15.0, 2.24, 0.5, 40.0),
+                             rng.uniform(0.02, 0.06)});
+  }
+  for (const double epsilon : {0.1, 0.5}) {
+    expect_rewards_match_oracle(instance, epsilon, "many-cheap");
+  }
+}
+
+TEST(ProbeEquivalenceAtScale, ZeroScaledCostsMatchOracle) {
+  // Three near-free users among Table II costs: floor(c_j / mu_k) is 0 in
+  // the larger subproblems, where a cover's cost no longer bounds how many
+  // items it holds, so the probe context must keep the k-item band.
+  auto instance = bench_shapes::single_task_scaling_instance(40, 99);
+  for (std::size_t k = 0; k < 3; ++k) {
+    instance.bids[5 * k + 1].cost = 0.01;
+  }
+  for (const double epsilon : {0.1, 0.5}) {
+    expect_rewards_match_oracle(instance, epsilon, "zero-scaled-cost");
+  }
+}
 
 TEST(ProbeEquivalence, EndToEndMechanismOutcomesAreBitIdentical) {
   // The same differential at the mechanism facade level: the full outcome
