@@ -6,7 +6,6 @@
 #include <queue>
 
 #include "auction/multi_task/gain.hpp"
-#include "common/check.hpp"
 
 namespace mcs::auction::multi_task {
 
@@ -41,58 +40,12 @@ GreedyResult finish_partial(const MultiTaskView& view, GreedyResult result,
   return result;
 }
 
-/// The paper-literal argmax: rescan every unselected user each round.
-/// Ascending id order plus the strict `>` comparison break ratio ties toward
-/// the lower user id.
-class ReferencePicker {
- public:
-  ReferencePicker(const MultiTaskView& view, const ViewOverlay& overlay,
-                  obs::PhaseCounters* counters)
-      : view_(view), overlay_(overlay), counters_(counters), selected_(view.num_users(), false) {}
-
-  std::optional<Pick> next(const std::vector<double>& residual) {
-    UserId best = -1;
-    double best_ratio = 0.0;
-    double best_effective = 0.0;
-    for (std::size_t i = 0; i < view_.num_users(); ++i) {
-      const auto user = static_cast<UserId>(i);
-      if (selected_[i] || overlay_.excludes(user)) {
-        continue;
-      }
-      if (counters_ != nullptr) {
-        ++counters_->heap_reevaluations;
-      }
-      const double effective = effective_of(view_, overlay_, user, residual);
-      if (effective <= 0.0) {
-        continue;
-      }
-      const double ratio = effective / view_.costs[i];
-      if (ratio > best_ratio) {
-        best_ratio = ratio;
-        best_effective = effective;
-        best = user;
-      }
-    }
-    if (best < 0) {
-      return std::nullopt;
-    }
-    selected_[static_cast<std::size_t>(best)] = true;
-    return Pick{best, best_effective, best_ratio};
-  }
-
- private:
-  const MultiTaskView& view_;
-  const ViewOverlay& overlay_;
-  obs::PhaseCounters* counters_;
-  std::vector<bool> selected_;
-};
-
 /// The CELF-style lazy argmax. Every heap entry carries the round its ratio
 /// was computed in; ratios are non-increasing across rounds (the gain is
 /// submodular in the shrinking residuals and costs are constant), so a stale
 /// ratio is an upper bound. Popping until the top entry is fresh therefore
 /// yields the true argmax, and ordering equal ratios by ascending user id
-/// reproduces the reference scan's lowest-id tie-break: a smaller-id user
+/// reproduces the full rescan's lowest-id tie-break: a smaller-id user
 /// whose stale bound ties the fresh top would still sit above it, so she is
 /// recomputed first and, on a true tie, selected first.
 class LazyPicker {
@@ -166,9 +119,19 @@ class LazyPicker {
   std::uint32_t round_ = 0;
 };
 
-template <typename Picker>
-GreedyResult run_greedy(const MultiTaskView& view, const ViewOverlay& overlay,
-                        const GreedyOptions& options, Picker picker) {
+}  // namespace
+
+GreedyResult solve_greedy(const MultiTaskInstance& instance) {
+  return solve_greedy(instance, GreedyOptions{});
+}
+
+GreedyResult solve_greedy(const MultiTaskInstance& instance, const GreedyOptions& options) {
+  return solve_greedy(MultiTaskView::from_instance(instance), ViewOverlay::none(), options);
+}
+
+GreedyResult solve_greedy(const MultiTaskView& view, const ViewOverlay& overlay,
+                          const GreedyOptions& options) {
+  LazyPicker picker(view, overlay, options.counters);
   GreedyResult result;
   std::vector<double> residual(view.requirements.begin(), view.requirements.end());
 
@@ -208,27 +171,6 @@ GreedyResult run_greedy(const MultiTaskView& view, const ViewOverlay& overlay,
   std::sort(result.allocation.winners.begin(), result.allocation.winners.end());
   result.allocation.total_cost = view.cost_of(result.allocation.winners);
   return result;
-}
-
-}  // namespace
-
-GreedyResult solve_greedy(const MultiTaskInstance& instance) {
-  return solve_greedy(instance, GreedyOptions{});
-}
-
-GreedyResult solve_greedy(const MultiTaskInstance& instance, const GreedyOptions& options) {
-  return solve_greedy(MultiTaskView::from_instance(instance), ViewOverlay::none(), options);
-}
-
-GreedyResult solve_greedy(const MultiTaskView& view, const ViewOverlay& overlay,
-                          const GreedyOptions& options) {
-  switch (options.algorithm) {
-    case GreedyAlgorithm::kLazy:
-      return run_greedy(view, overlay, options, LazyPicker(view, overlay, options.counters));
-    case GreedyAlgorithm::kReferenceScan:
-      return run_greedy(view, overlay, options, ReferencePicker(view, overlay, options.counters));
-  }
-  throw common::PreconditionError("unknown greedy algorithm");
 }
 
 }  // namespace mcs::auction::multi_task

@@ -7,22 +7,21 @@
 // (Theorems 4-6, Lemma 2): H(γ)-approximation, monotone in declared
 // contributions.
 //
-// Two interchangeable argmax strategies (GreedyAlgorithm, see
-// auction/types.hpp): the paper-literal O(n²t) full rescan per round
-// (kReferenceScan) and the CELF-style lazy max-heap of stale ratios (kLazy,
-// the default). Because residuals only shrink and costs are constant, every
-// stale heap ratio is an upper bound on the user's current ratio, so a
-// popped entry whose recomputed ratio still tops the heap is the true
-// argmax; the heap orders equal ratios by ascending user id, preserving the
-// reference's lowest-id tie-break exactly. The two paths are bit-identical
-// (same winners, same steps, same tie-breaks) — an invariant asserted by
+// The argmax is a CELF-style lazy max-heap of stale ratios. Because
+// residuals only shrink and costs are constant, every stale heap ratio is an
+// upper bound on the user's current ratio, so a popped entry whose
+// recomputed ratio still tops the heap is the true argmax; the heap orders
+// equal ratios by ascending user id, the lowest-id tie-break of the
+// paper-literal full rescan. The rescan lives on as the differential oracle
+// reference::solve_greedy_scan (src/reference/), and the two are
+// bit-identical (same winners, same steps, same tie-breaks) — asserted by
 // tests/mt_lazy_equivalence_test.cpp and tests/perf_smoke_test.cpp.
 //
 // The iteration log (who was picked, at what ratio) is exposed because the
-// reward scheme (Algorithm 5) replays it. The solve_greedy overloads on
-// MultiTaskView run the same algorithms against the flat CSR layout through
-// an exclusion/override overlay — the allocation-free probe path of the
-// reward scheme — and report winners under ORIGINAL user ids.
+// reward scheme (Algorithm 5) replays it. Every solve_greedy call runs on a
+// MultiTaskView (the instance overloads build one) through an
+// exclusion/override overlay — the allocation-free probe path of the reward
+// scheme — and reports winners under ORIGINAL user ids.
 #pragma once
 
 #include <vector>
@@ -33,10 +32,6 @@
 #include "obs/telemetry.hpp"
 
 namespace mcs::auction::multi_task {
-
-/// The algorithm enum lives in auction/types.hpp so the unified
-/// MechanismConfig can carry it; this alias keeps call sites short.
-using GreedyAlgorithm = auction::GreedyAlgorithm;
 
 /// One iteration of the greedy loop.
 struct GreedyStep {
@@ -63,16 +58,14 @@ struct GreedyOptions {
   /// default) a stall returns an empty result and an expiry throws
   /// common::DeadlineExceeded — the paper-exact contract.
   bool keep_partial = false;
-  /// Argmax strategy; kLazy and kReferenceScan produce identical results.
-  GreedyAlgorithm algorithm = GreedyAlgorithm::kLazy;
   /// Snapshot the residual vector into every GreedyStep (tests/debugging
   /// only; off keeps the hot path free of per-step O(t) copies).
   bool record_residuals = false;
   /// When non-null, accumulates rounds (greedy picks), deadline polls, and
-  /// gain re-evaluations inside the argmax (lazy-heap stale recomputes for
-  /// kLazy, full candidate scans for kReferenceScan — the counter is
-  /// algorithm-dependent by design: it measures the CELF saving). The caller
-  /// owns the block and must not share it across concurrent solves.
+  /// gain re-evaluations inside the argmax (stale heap entries recomputed;
+  /// a full rescan would make Σ_{r<rounds} (n − r) of them, so the counter
+  /// measures the CELF saving). The caller owns the block and must not
+  /// share it across concurrent solves.
   obs::PhaseCounters* counters = nullptr;
 };
 

@@ -9,12 +9,10 @@ namespace mcs::auction::multi_task {
 
 namespace {
 
-/// The mechanism over a built view. `copied` is the instance the view was
-/// built from when the copied-probe reward path is configured, null
-/// otherwise. The deadline and the winner-determination timer start with
-/// the caller, so the instance entry point keeps timing its view build.
-MechanismOutcome run_on_view(const MultiTaskView& view, const MultiTaskInstance* copied,
-                             const auction::MechanismConfig& config,
+/// The mechanism over a built view. The deadline and the
+/// winner-determination timer start with the caller, so the instance entry
+/// point keeps timing its view build.
+MechanismOutcome run_on_view(const MultiTaskView& view, const auction::MechanismConfig& config,
                              const common::Deadline& deadline, const obs::PhaseTimer& wd_timer) {
   const bool telemetry = obs::enabled();
   MechanismOutcome outcome;
@@ -25,7 +23,6 @@ MechanismOutcome run_on_view(const MultiTaskView& view, const MultiTaskInstance*
       view, ViewOverlay::none(),
       GreedyOptions{.deadline = deadline,
                     .keep_partial = config.multi_task.partial_coverage,
-                    .algorithm = config.multi_task.winner_determination,
                     .counters = telemetry ? &outcome.telemetry.winner_determination : nullptr});
   if (telemetry) {
     outcome.telemetry.winner_determination_seconds = wd_timer.seconds();
@@ -44,13 +41,7 @@ MechanismOutcome run_on_view(const MultiTaskView& view, const MultiTaskInstance*
   }
   const RewardOptions reward_options{.alpha = config.alpha,
                                      .rule = config.multi_task.critical_bid_rule,
-                                     .deadline = deadline,
-                                     .algorithm = config.multi_task.winner_determination,
-                                     .masked_resolves = copied == nullptr};
-  auto reward_of = [&](UserId winner, const RewardOptions& options) {
-    return copied == nullptr ? compute_reward(view, winner, options)
-                             : compute_reward(*copied, winner, options);
-  };
+                                     .deadline = deadline};
   // Per-winner critical bids are independent; fan them out across the shared
   // pool (parallel_map assembles results in submission order, bit-identical
   // to the serial loop). Each probe polls the same deadline token.
@@ -65,7 +56,7 @@ MechanismOutcome run_on_view(const MultiTaskView& view, const MultiTaskInstance*
         [&](std::size_t index) {
           RewardOptions slot_options = reward_options;
           slot_options.counters = &per_winner[index];
-          return reward_of(winners[index], slot_options);
+          return compute_reward(view, winners[index], slot_options);
         },
         config.reward_worker_budget());
     for (const obs::PhaseCounters& block : per_winner) {
@@ -75,7 +66,7 @@ MechanismOutcome run_on_view(const MultiTaskView& view, const MultiTaskInstance*
   } else {
     outcome.rewards = common::parallel_map<WinnerReward>(
         winners.size(),
-        [&](std::size_t index) { return reward_of(winners[index], reward_options); },
+        [&](std::size_t index) { return compute_reward(view, winners[index], reward_options); },
         config.reward_worker_budget());
   }
   return outcome;
@@ -85,12 +76,9 @@ MechanismOutcome run_on_view(const MultiTaskView& view, const MultiTaskInstance*
 
 MechanismOutcome run_mechanism(const MultiTaskView& view, const auction::MechanismConfig& config) {
   MCS_EXPECTS(config.alpha > 0.0, "reward scaling factor must be positive");
-  MCS_EXPECTS(config.multi_task.masked_rewards,
-              "the copied-probe reward path (masked_rewards = false) re-solves on the "
-              "instance; run the mechanism on the MultiTaskInstance instead of its view");
   const obs::PhaseTimer wd_timer(obs::enabled());
-  return run_on_view(view, nullptr, config,
-                     common::Deadline::from_budget(config.time_budget_seconds), wd_timer);
+  return run_on_view(view, config, common::Deadline::from_budget(config.time_budget_seconds),
+                     wd_timer);
 }
 
 MechanismOutcome run_mechanism(const MultiTaskInstance& instance,
@@ -98,9 +86,7 @@ MechanismOutcome run_mechanism(const MultiTaskInstance& instance,
   MCS_EXPECTS(config.alpha > 0.0, "reward scaling factor must be positive");
   const auto deadline = common::Deadline::from_budget(config.time_budget_seconds);
   const obs::PhaseTimer wd_timer(obs::enabled());
-  const auto view = MultiTaskView::from_instance(instance);
-  return run_on_view(view, config.multi_task.masked_rewards ? nullptr : &instance, config,
-                     deadline, wd_timer);
+  return run_on_view(MultiTaskView::from_instance(instance), config, deadline, wd_timer);
 }
 
 }  // namespace mcs::auction::multi_task

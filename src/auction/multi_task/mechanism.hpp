@@ -12,17 +12,14 @@ namespace mcs::auction::multi_task {
 
 /// Runs the full strategy-proof multi-task mechanism on a built CSR view —
 /// the core every entry point shares. Reads config.alpha, config.multi_task.*,
-/// and the reward-parallelism fields. For infeasible instances the allocation
-/// is infeasible and no rewards are issued. The view is trusted (see
-/// view.hpp); config.multi_task.masked_rewards must hold, because the
-/// copied-probe reward path re-solves on the AoS instance, which a view does
-/// not carry.
+/// config.time_budget_seconds and config.reward_workers. For infeasible
+/// instances the allocation is infeasible and no rewards are issued. The
+/// view is trusted (see view.hpp).
 MechanismOutcome run_mechanism(const MultiTaskView& view,
                                const auction::MechanismConfig& config = {});
 
 /// MultiTaskView::from_instance (which validates) plus the view core;
-/// bit-identical to calling the core on the built view. Also serves the
-/// copied-probe path when masked_rewards is off.
+/// bit-identical to calling the core on the built view.
 MechanismOutcome run_mechanism(const MultiTaskInstance& instance,
                                const auction::MechanismConfig& config = {});
 

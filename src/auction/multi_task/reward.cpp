@@ -17,8 +17,7 @@ GreedyOptions probe_options(const RewardOptions& options) {
     // Every probe_options() consumer is about to issue one greedy re-run.
     ++options.counters->probes;
   }
-  return GreedyOptions{.deadline = options.deadline, .algorithm = options.algorithm,
-                       .counters = options.counters};
+  return GreedyOptions{.deadline = options.deadline, .counters = options.counters};
 }
 
 /// A recorded-run replay is a probe too — counted at the call sites because
@@ -28,10 +27,6 @@ void count_replay_probe(const RewardOptions& options) {
     ++options.counters->probes;
   }
 }
-
-// ---------------------------------------------------------------------------
-// Masked probes: one shared CSR view, per-probe overlays, zero copies.
-// ---------------------------------------------------------------------------
 
 /// Whether user i would enter the greedy cover when declaring
 /// `declared_total`, answered by REPLAYING the recorded without-i run
@@ -133,108 +128,13 @@ double binary_search_critical(const MultiTaskView& view, UserId winner,
   return hi;
 }
 
-// ---------------------------------------------------------------------------
-// Legacy copied-instance probes (masked_resolves = false): one O(n·t)
-// MultiTaskInstance materialization per probe. Kept as the bit-identical
-// oracle for the equivalence suite and as the benchmark baseline.
-// ---------------------------------------------------------------------------
-
-bool wins_with_total_contribution_copied(const MultiTaskInstance& instance, UserId user,
-                                         double declared_total, const RewardOptions& options) {
-  const auto result = solve_greedy(instance.with_declared_total_contribution(user, declared_total),
-                                   probe_options(options));
-  return result.allocation.feasible && result.allocation.contains(user);
-}
-
-double iteration_min_critical_copied(const MultiTaskInstance& instance, UserId winner,
-                                     const RewardOptions& options) {
-  const double cost_i = instance.users[static_cast<std::size_t>(winner)].cost;
-  const auto without = solve_greedy(instance.without_user(winner), probe_options(options));
-  if (!without.allocation.feasible) {
-    return 0.0;
-  }
-  // Ids in the reduced instance at or above `winner` are shifted down by one.
-  const auto original_id = [&](UserId reduced) {
-    return reduced >= winner ? reduced + 1 : reduced;
-  };
-  double critical = std::numeric_limits<double>::infinity();
-  for (const auto& step : without.steps) {
-    const UserId k = original_id(step.selected);
-    const double cost_k = instance.users[static_cast<std::size_t>(k)].cost;
-    critical = std::min(critical, (cost_i / cost_k) * step.effective_contribution);
-  }
-  MCS_ENSURES(critical < std::numeric_limits<double>::infinity(),
-              "a feasible without-i run must have at least one iteration");
-  return critical;
-}
-
-double binary_search_critical_copied(const MultiTaskInstance& instance, UserId winner,
-                                     const RewardOptions& options) {
-  if (!solve_greedy(instance.without_user(winner), probe_options(options))
-           .allocation.feasible) {
-    return 0.0;
-  }
-  const double declared = instance.users[static_cast<std::size_t>(winner)].total_contribution();
-  MCS_EXPECTS(wins_with_total_contribution_copied(instance, winner, declared, options),
-              "the binary-search critical bid is only defined for winners");
-  if (wins_with_total_contribution_copied(instance, winner, 0.0, options)) {
-    return 0.0;
-  }
-  double lo = 0.0;
-  double hi = declared;
-  for (int iter = 0; iter < options.binary_search_iterations; ++iter) {
-    options.deadline.check("multi-task critical-bid search");
-    if (options.counters != nullptr) {
-      ++options.counters->deadline_polls;
-      ++options.counters->bisection_steps;
-    }
-    const double mid = 0.5 * (lo + hi);
-    if (wins_with_total_contribution_copied(instance, winner, mid, options)) {
-      hi = mid;
-    } else {
-      lo = mid;
-    }
-  }
-  return hi;
-}
-
-void check_reward_inputs(std::size_t num_users, UserId winner, const RewardOptions& options) {
-  MCS_EXPECTS(winner >= 0 && static_cast<std::size_t>(winner) < num_users,
-              "user id out of range");
-  MCS_EXPECTS(options.binary_search_iterations > 0, "need at least one bisection step");
-}
-
-WinnerReward assemble_reward(UserId winner, double cost, double critical,
-                             const RewardOptions& options) {
-  WinnerReward result;
-  result.user = winner;
-  result.critical_contribution = critical;
-  result.reward.critical_pos = common::pos_from_contribution(critical);
-  result.reward.cost = cost;
-  result.reward.alpha = options.alpha;
-  return result;
-}
-
 }  // namespace
-
-double critical_contribution(const MultiTaskInstance& instance, UserId winner,
-                             const RewardOptions& options) {
-  check_reward_inputs(instance.num_users(), winner, options);
-  if (options.masked_resolves) {
-    return critical_contribution(MultiTaskView::from_instance(instance), winner, options);
-  }
-  switch (options.rule) {
-    case CriticalBidRule::kPaperIterationMin:
-      return iteration_min_critical_copied(instance, winner, options);
-    case CriticalBidRule::kBinarySearch:
-      return binary_search_critical_copied(instance, winner, options);
-  }
-  throw common::PreconditionError("unknown critical-bid rule");
-}
 
 double critical_contribution(const MultiTaskView& view, UserId winner,
                              const RewardOptions& options) {
-  check_reward_inputs(view.num_users(), winner, options);
+  MCS_EXPECTS(winner >= 0 && static_cast<std::size_t>(winner) < view.num_users(),
+              "user id out of range");
+  MCS_EXPECTS(options.binary_search_iterations > 0, "need at least one bisection step");
   switch (options.rule) {
     case CriticalBidRule::kPaperIterationMin:
       return iteration_min_critical(view, winner, options);
@@ -244,19 +144,26 @@ double critical_contribution(const MultiTaskView& view, UserId winner,
   throw common::PreconditionError("unknown critical-bid rule");
 }
 
-WinnerReward compute_reward(const MultiTaskInstance& instance, UserId winner,
-                            const RewardOptions& options) {
-  MCS_EXPECTS(options.alpha > 0.0, "reward scaling factor must be positive");
-  const double critical = critical_contribution(instance, winner, options);
-  return assemble_reward(winner, instance.users[static_cast<std::size_t>(winner)].cost, critical,
-                         options);
+double critical_contribution(const MultiTaskInstance& instance, UserId winner,
+                             const RewardOptions& options) {
+  return critical_contribution(MultiTaskView::from_instance(instance), winner, options);
 }
 
 WinnerReward compute_reward(const MultiTaskView& view, UserId winner,
                             const RewardOptions& options) {
   MCS_EXPECTS(options.alpha > 0.0, "reward scaling factor must be positive");
-  const double critical = critical_contribution(view, winner, options);
-  return assemble_reward(winner, view.costs[static_cast<std::size_t>(winner)], critical, options);
+  WinnerReward result;
+  result.user = winner;
+  result.critical_contribution = critical_contribution(view, winner, options);
+  result.reward.critical_pos = common::pos_from_contribution(result.critical_contribution);
+  result.reward.cost = view.costs[static_cast<std::size_t>(winner)];
+  result.reward.alpha = options.alpha;
+  return result;
+}
+
+WinnerReward compute_reward(const MultiTaskInstance& instance, UserId winner,
+                            const RewardOptions& options) {
+  return compute_reward(MultiTaskView::from_instance(instance), winner, options);
 }
 
 }  // namespace mcs::auction::multi_task

@@ -30,9 +30,9 @@
 // tops the argmax, so "does i win at declaration q" reduces to comparing
 // i's ratio against each recorded round's winner at that round's residuals
 // — O(rounds · |S_i|) per probe, bit-identical to a full re-solve (see
-// DESIGN.md §8). RewardOptions::masked_resolves = false restores the legacy
-// copied-instance full-re-solve probes, kept bit-identical as the
-// equivalence oracle (asserted by tests/mt_lazy_equivalence_test.cpp).
+// DESIGN.md §8). The copied-instance full-re-solve probes survive only as
+// the differential oracle reference::critical_contribution (src/reference/),
+// asserted bit-identical by tests/mt_lazy_equivalence_test.cpp.
 #pragma once
 
 #include "auction/instance.hpp"
@@ -53,12 +53,6 @@ struct RewardOptions {
   /// Cooperative wall-clock budget; polled once per bisection step and
   /// threaded into the greedy re-runs.
   common::Deadline deadline = {};
-  /// Winner-determination algorithm used by the greedy probe re-runs.
-  auction::GreedyAlgorithm algorithm = auction::GreedyAlgorithm::kLazy;
-  /// Solve the probes through view overlays instead of materialized
-  /// instance copies (instance-based entry points only; the view-based
-  /// overloads are always masked). Both paths are bit-identical.
-  bool masked_resolves = true;
   /// When non-null, accumulates probe / bisection / deadline-poll counts
   /// (and the probe solves' greedy rounds). The caller owns the block; under
   /// parallel rewards each worker slot must get its own (the mechanism
@@ -66,22 +60,22 @@ struct RewardOptions {
   obs::PhaseCounters* counters = nullptr;
 };
 
-/// Critical contribution q̄_i of `winner` under the selected rule. For
-/// kBinarySearch the caller must pass an actual winner (the search brackets
-/// her truthful declaration); kPaperIterationMin accepts any user. The
-/// instance must be valid.
-double critical_contribution(const MultiTaskInstance& instance, UserId winner,
-                             const RewardOptions& options = {});
-
-/// Same, against a prebuilt view — the amortized path the mechanism uses so
-/// n winners share one CSR build instead of paying n·probes instance copies.
+/// Critical contribution q̄_i of `winner` under the selected rule, against a
+/// prebuilt view — the path the mechanism uses so n winners share one CSR
+/// build. For kBinarySearch the caller must pass an actual winner (the
+/// search brackets her truthful declaration); kPaperIterationMin accepts any
+/// user.
 double critical_contribution(const MultiTaskView& view, UserId winner,
                              const RewardOptions& options = {});
 
-/// Full reward for one winner.
-WinnerReward compute_reward(const MultiTaskInstance& instance, UserId winner,
-                            const RewardOptions& options);
+/// MultiTaskView::from_instance (which validates) plus the view overload.
+double critical_contribution(const MultiTaskInstance& instance, UserId winner,
+                             const RewardOptions& options = {});
+
+/// Full reward for one winner; the instance overload builds the view first.
 WinnerReward compute_reward(const MultiTaskView& view, UserId winner,
+                            const RewardOptions& options);
+WinnerReward compute_reward(const MultiTaskInstance& instance, UserId winner,
                             const RewardOptions& options);
 
 }  // namespace mcs::auction::multi_task

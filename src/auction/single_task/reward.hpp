@@ -39,12 +39,6 @@ struct RewardOptions {
   /// Cooperative wall-clock budget; polled once per probe and threaded into
   /// the FPTAS and Min-Greedy re-runs.
   common::Deadline deadline = {};
-  /// Answer each critical-bid probe by mutating one reusable scratch copy of
-  /// the instance (save/restore the winner's declared PoS around the probe)
-  /// instead of materializing a fresh O(n) copy per probe. Bit-identical to
-  /// the copying path (asserted by tests/st_reward_test.cpp); off reproduces
-  /// the legacy allocation behaviour for benchmarking.
-  bool scratch_probes = true;
   /// Frontier-DP kernel threaded into every FPTAS re-run and probe-context
   /// build this search issues (see DpKernel); both settings bit-identical.
   DpKernel dp_kernel = DpKernel::kColumns;

@@ -21,9 +21,6 @@ const WinnerReward& MechanismOutcome::reward_of(UserId user) const {
 }
 
 std::size_t MechanismConfig::reward_worker_budget() const {
-  if (!parallel_rewards) {
-    return 1;
-  }
   return reward_workers > 0 ? reward_workers : common::default_worker_count();
 }
 

@@ -96,18 +96,6 @@ enum class CriticalBidRule {
   kPaperIterationMin,
 };
 
-/// How the multi-task greedy cover (Algorithm 4) finds each round's argmax.
-/// kLazy is the CELF-style max-heap of stale contribution/cost ratios —
-/// submodularity of the residual-capped cover means ratios only ever
-/// decrease, so a freshly recomputed entry that still tops the heap is the
-/// true argmax. kReferenceScan is the paper-literal O(n²t) full rescan kept
-/// as the equivalence oracle; both produce bit-identical winners, steps, and
-/// tie-breaks (asserted by tests/mt_lazy_equivalence_test.cpp).
-enum class GreedyAlgorithm {
-  kLazy,
-  kReferenceScan,
-};
-
 /// How the single-task critical-bid search answers its wins(q) probes.
 /// kDpReuse is the fast path: one without-winner knapsack frontier per
 /// (winner, FPTAS subproblem), built once per critical-bid search and
@@ -153,15 +141,6 @@ struct SingleTaskKnobs {
 /// Knobs only the multi-task single-minded family reads.
 struct MultiTaskKnobs {
   CriticalBidRule critical_bid_rule = CriticalBidRule::kBinarySearch;
-  /// Winner-determination algorithm; kLazy and kReferenceScan are
-  /// bit-identical, the knob exists for benchmarking and bisection.
-  GreedyAlgorithm winner_determination = GreedyAlgorithm::kLazy;
-  /// Run the critical-bid greedy probes on a flat CSR view of the instance
-  /// with an exclusion-mask / declared-contribution overlay instead of
-  /// materializing an O(n·t) instance copy per probe. Bit-identical to the
-  /// copied path (asserted by tests); off reproduces the legacy allocation
-  /// behaviour for benchmarking.
-  bool masked_rewards = true;
   /// When the greedy cover stalls (infeasible instance) or hits the auction
   /// deadline, keep the selected winner prefix: the outcome stays infeasible
   /// and pays no rewards (partial coverage cannot be strategy-proof), but
@@ -178,12 +157,9 @@ struct MultiTaskKnobs {
 /// ignored).
 struct MechanismConfig {
   double alpha = 10.0;  ///< reward scaling factor (paper Table II)
-  /// Compute the winners' critical bids on multiple threads. Results are
-  /// bit-identical to the serial path (each bid is an independent
-  /// computation); disable for single-core determinism profiling.
-  bool parallel_rewards = true;
   /// Upper bound on threads for the critical-bid computations; 0 means
-  /// common::default_worker_count().
+  /// common::default_worker_count() and 1 runs them serially. Results are
+  /// bit-identical at every setting (each bid is an independent computation).
   std::size_t reward_workers = 0;
   /// Wall-clock budget per auction in seconds; 0 (or below) = unlimited.
   /// Cooperative: the FPTAS DP, the greedy cover, and the critical-bid loops
@@ -200,9 +176,8 @@ struct MechanismConfig {
   SingleTaskKnobs single_task = {};
   MultiTaskKnobs multi_task = {};
 
-  /// The thread budget the reward schemes actually use: 1 when
-  /// parallel_rewards is off, otherwise reward_workers (or the hardware
-  /// default when 0).
+  /// The thread budget the reward schemes actually use: reward_workers, or
+  /// the hardware default when 0.
   std::size_t reward_worker_budget() const;
 };
 

@@ -133,10 +133,6 @@ CampaignService::CampaignService(const ServiceConfig& config)
               "CriticalBidRule::kPaperIterationMin is not shard-decomposable (its minimum "
               "ranges over the GLOBAL without-i iteration sequence); use kBinarySearch or a "
               "single shard");
-  MCS_EXPECTS(config.shards.shard_count() == 1 || config.mechanism.multi_task.masked_rewards,
-              "multi_task.masked_rewards = false (copied probes) needs each shard's AoS "
-              "instance, but sharded rounds run on CSR views; keep masked rewards or use a "
-              "single shard");
   if (!config_.journal_path.empty()) {
     ReplayedServiceJournal replayed;
     journal_ = std::make_unique<ServiceJournalWriter>(

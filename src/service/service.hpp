@@ -294,9 +294,8 @@ class CampaignService {
   /// Starts the dispatcher. Throws PreconditionError on an invalid
   /// configuration — including, with shard_count > 1,
   /// CriticalBidRule::kPaperIterationMin (not shard-decomposable, see
-  /// shard.hpp) and multi_task.masked_rewards = false (the copied-probe path
-  /// needs an AoS instance; sharded rounds run on views) — and when the
-  /// configured journal was written under a different fingerprint.
+  /// shard.hpp) — and when the configured journal was written under a
+  /// different fingerprint.
   explicit CampaignService(const ServiceConfig& config);
 
   /// Drains every submitted round (completing, journaling, and streaming

@@ -8,6 +8,7 @@
 #include "auction/single_task/mechanism.hpp"
 #include "common/check.hpp"
 #include "common/math.hpp"
+#include "reference/multi_task.hpp"
 #include "sim/metrics.hpp"
 
 namespace mcs::sim {
@@ -567,7 +568,9 @@ bool outcomes_identical(const auction::MechanismOutcome& a,
 }
 
 /// Per-run state of the sweep: the fast and oracle configurations plus the
-/// divergence counters every auction in the sweep reports into.
+/// divergence counters every auction in the sweep reports into. The
+/// multi-task oracle is reference::run_multi_task_mechanism, which reads only
+/// the shared alpha and multi_task knobs of `fast`.
 struct SweepContext {
   const SweepConfig& cfg;
   auction::MechanismConfig fast;
@@ -588,7 +591,7 @@ struct SweepContext {
     const auto out = auction::multi_task::run_mechanism(instance, fast);
     ++result->auctions_run;
     if (cfg.check_fast_paths &&
-        !outcomes_identical(out, auction::multi_task::run_mechanism(instance, oracle))) {
+        !outcomes_identical(out, reference::run_multi_task_mechanism(instance, fast))) {
       ++result->fast_oracle_mismatches;
     }
     return out;
@@ -598,7 +601,7 @@ struct SweepContext {
 auction::MechanismConfig fast_config(const SweepConfig& cfg) {
   auction::MechanismConfig config;
   config.alpha = cfg.alpha;
-  return config;  // defaults ARE the fast paths: kDpReuse, kColumns, kLazy, masked
+  return config;  // defaults ARE the fast paths: kDpReuse, kColumns
 }
 
 auction::MechanismConfig oracle_config(const SweepConfig& cfg) {
@@ -606,8 +609,6 @@ auction::MechanismConfig oracle_config(const SweepConfig& cfg) {
   config.alpha = cfg.alpha;
   config.single_task.probe_strategy = auction::ProbeStrategy::kFullSolve;
   config.single_task.dp_kernel = auction::DpKernel::kScalarOracle;
-  config.multi_task.winner_determination = auction::GreedyAlgorithm::kReferenceScan;
-  config.multi_task.masked_rewards = false;
   return config;
 }
 

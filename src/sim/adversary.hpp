@@ -300,9 +300,10 @@ struct SweepConfig {
   std::vector<double> shade_grid = {0.25, 0.5, 0.75, 0.9, 1.1, 1.25, 1.5};
   std::vector<std::size_t> sybil_clones = {2, 3};
   double alpha = 10.0;
-  /// Run every auction under the fast configuration AND the oracle
-  /// configuration (kDpReuse/kColumns/kLazy vs kFullSolve/kScalarOracle/
-  /// kReferenceScan) and count divergences — must stay 0.
+  /// Run every auction on the fast path AND its oracle (single task:
+  /// kDpReuse/kColumns vs kFullSolve/kScalarOracle; multi task: the lazy
+  /// masked mechanism vs reference::run_multi_task_mechanism) and count
+  /// divergences — must stay 0.
   bool check_fast_paths = true;
   /// Brute-force OPT on the truthful instance (requires users <= 20).
   bool compute_opt = true;

@@ -3,7 +3,8 @@
 // cost magnitudes, DP-noised reports) pushed through the fast≡oracle pairs
 // the certified suites pin on benign samplers —
 //   single task: (kDpReuse, kColumns)  ≡  (kFullSolve, kScalarOracle)
-//   multi task:  kLazy + masked_rewards  ≡  kReferenceScan + copied probes
+//   multi task:  lazy heap + masked probes  ≡  reference::run_multi_task_mechanism
+//                (full rescan + copied-instance probes, src/reference/)
 // Outcomes must be BIT-identical (test::expect_identical_outcome), exactly
 // as st_probe_equivalence_test / mt_lazy_equivalence_test assert on their
 // own shapes.
@@ -14,6 +15,7 @@
 
 #include "auction/multi_task/mechanism.hpp"
 #include "auction/single_task/mechanism.hpp"
+#include "reference/multi_task.hpp"
 #include "sim/adversary.hpp"
 #include "test_util.hpp"
 
@@ -29,8 +31,6 @@ auction::MechanismConfig oracle_config() {
   auction::MechanismConfig config;
   config.single_task.probe_strategy = auction::ProbeStrategy::kFullSolve;
   config.single_task.dp_kernel = auction::DpKernel::kScalarOracle;
-  config.multi_task.winner_determination = auction::GreedyAlgorithm::kReferenceScan;
-  config.multi_task.masked_rewards = false;
   return config;
 }
 
@@ -84,7 +84,7 @@ TEST_P(AdversarialEquivalence, MultiTaskLazyMatchesReferenceOnHostileInputs) {
                              " epsilon=" + std::to_string(c.epsilon) + " family=multi";
   SCOPED_TRACE(replay);
   const auto fast = auction::multi_task::run_mechanism(instance, fast_config());
-  const auto oracle = auction::multi_task::run_mechanism(instance, oracle_config());
+  const auto oracle = reference::run_multi_task_mechanism(instance, fast_config());
   test::expect_identical_outcome(fast, oracle);
 }
 

@@ -74,9 +74,9 @@ TEST(ParallelMap, RejectsZeroWorkers) {
 TEST(ParallelRewards, SingleTaskParallelEqualsSerial) {
   const auto instance = test::random_single_task(20, 0.8, 33);
   auction::MechanismConfig config{.alpha = 10.0, .single_task = {.epsilon = 0.5}};
-  config.parallel_rewards = false;
+  config.reward_workers = 1;
   const auto serial = auction::single_task::run_mechanism(instance, config);
-  config.parallel_rewards = true;
+  config.reward_workers = 0;  // the hardware default
   const auto parallel = auction::single_task::run_mechanism(instance, config);
   ASSERT_EQ(serial.rewards.size(), parallel.rewards.size());
   for (std::size_t k = 0; k < serial.rewards.size(); ++k) {
@@ -89,9 +89,9 @@ TEST(ParallelRewards, SingleTaskParallelEqualsSerial) {
 TEST(ParallelRewards, MultiTaskParallelEqualsSerial) {
   const auto instance = test::random_multi_task(18, 5, 0.6, 35);
   auction::MechanismConfig config{.alpha = 10.0};
-  config.parallel_rewards = false;
+  config.reward_workers = 1;
   const auto serial = auction::multi_task::run_mechanism(instance, config);
-  config.parallel_rewards = true;
+  config.reward_workers = 0;  // the hardware default
   const auto parallel = auction::multi_task::run_mechanism(instance, config);
   ASSERT_EQ(serial.rewards.size(), parallel.rewards.size());
   for (std::size_t k = 0; k < serial.rewards.size(); ++k) {

@@ -11,6 +11,7 @@
 #include <string>
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include "platform/journal.hpp"
 #include "service/journal.hpp"
@@ -29,7 +30,7 @@ class FormatFixture : public ::testing::Test {
   FormatFixture()
       : path_(std::filesystem::temp_directory_path() /
               ("mcs_journal_format_" +
-               std::to_string(::testing::UnitTest::GetInstance()->random_seed()) + "_" +
+               std::to_string(::getpid()) + "_" +
                ::testing::UnitTest::GetInstance()->current_test_info()->name() + ".journal")) {
     std::filesystem::remove(path_);
   }

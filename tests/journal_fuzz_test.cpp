@@ -18,6 +18,7 @@
 #include <vector>
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
@@ -241,9 +242,10 @@ void fuzz_byte_flips(const std::string& intact) {
 // no fingerprint (the next restart would refuse it).
 template <typename Format>
 void fuzz_resume_append(const std::string& intact) {
+  // The pid keeps concurrent runs of this binary (say, two sanitizer test
+  // presets at once) off each other's scratch file.
   const auto path = std::filesystem::temp_directory_path() /
-                    ("mcs_journal_fuzz_" +
-                     std::to_string(::testing::UnitTest::GetInstance()->random_seed()) + "_" +
+                    ("mcs_journal_fuzz_" + std::to_string(::getpid()) + "_" +
                      ::testing::UnitTest::GetInstance()->current_test_info()->name());
   for (std::size_t cut = 0; cut <= intact.size(); ++cut) {
     const std::string label =

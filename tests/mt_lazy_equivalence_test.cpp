@@ -1,11 +1,12 @@
 // The asserted invariant behind the lazy-greedy hot path: CELF-style lazy
 // winner determination, the CSR view, and the exclusion/override overlays
 // must be BIT-identical — same winners, same steps, same tie-breaks, exact
-// doubles — to the paper-literal reference scan on materialized instance
-// copies. Several hundred seeded random instances, deliberately including
-// tie-heavy (quantized costs and PoS so many users share exact ratios) and
-// degenerate zero-contribution populations, are checked across every layer:
-// solve_greedy lazy vs reference, masked re-solves vs without_user /
+// doubles — to the paper-literal full rescan on materialized instance copies
+// (the independent oracle in src/reference/). Several hundred seeded random
+// instances, deliberately including tie-heavy (quantized costs and PoS so
+// many users share exact ratios) and degenerate zero-contribution
+// populations, are checked across every layer: solve_greedy vs
+// reference::solve_greedy_scan, masked re-solves vs without_user /
 // with_declared_total_contribution copies, both critical-bid rules, and the
 // end-to-end mechanism.
 #include <gtest/gtest.h>
@@ -17,13 +18,11 @@
 #include "auction/multi_task/reward.hpp"
 #include "auction/multi_task/view.hpp"
 #include "common/rng.hpp"
+#include "reference/multi_task.hpp"
 #include "test_util.hpp"
 
 namespace mcs::auction::multi_task {
 namespace {
-
-constexpr GreedyOptions kLazyRun{.algorithm = GreedyAlgorithm::kLazy};
-constexpr GreedyOptions kReferenceRun{.algorithm = GreedyAlgorithm::kReferenceScan};
 
 /// Tie-heavy population: costs and PoS drawn from tiny quantized sets, plus
 /// duplicated users, so many ratios collide exactly and the lowest-id
@@ -86,22 +85,11 @@ class LazyEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(LazyEquivalence, LazyMatchesReferenceScan) {
   for (const auto& instance : instances_for(GetParam())) {
-    test::expect_identical_greedy(solve_greedy(instance, kLazyRun),
-                                  solve_greedy(instance, kReferenceRun));
+    test::expect_identical_greedy(solve_greedy(instance),
+                                  reference::solve_greedy_scan(instance));
     // keep_partial covers the stall path on infeasible instances.
-    GreedyOptions lazy_partial = kLazyRun;
-    GreedyOptions reference_partial = kReferenceRun;
-    lazy_partial.keep_partial = reference_partial.keep_partial = true;
-    test::expect_identical_greedy(solve_greedy(instance, lazy_partial),
-                                  solve_greedy(instance, reference_partial));
-  }
-}
-
-TEST_P(LazyEquivalence, ViewSolveMatchesInstanceSolve) {
-  for (const auto& instance : instances_for(GetParam())) {
-    const auto view = MultiTaskView::from_instance(instance);
-    test::expect_identical_greedy(solve_greedy(view, ViewOverlay::none(), kLazyRun),
-                                  solve_greedy(instance, kReferenceRun));
+    test::expect_identical_greedy(solve_greedy(instance, GreedyOptions{.keep_partial = true}),
+                                  reference::solve_greedy_scan(instance, /*keep_partial=*/true));
   }
 }
 
@@ -113,8 +101,8 @@ TEST_P(LazyEquivalence, MaskedExclusionMatchesWithoutUserCopy) {
   for (const auto& instance : instances_for(GetParam())) {
     const auto view = MultiTaskView::from_instance(instance);
     for (UserId user = 0; user < static_cast<UserId>(instance.num_users()); ++user) {
-      const auto masked = solve_greedy(view, ViewOverlay::without(user), kLazyRun);
-      const auto copied = solve_greedy(instance.without_user(user), kReferenceRun);
+      const auto masked = solve_greedy(view, ViewOverlay::without(user));
+      const auto copied = reference::solve_greedy_scan(instance.without_user(user));
       test::expect_identical_greedy(masked, copied, [user](UserId reduced) {
         return reduced >= user ? reduced + 1 : reduced;
       });
@@ -131,9 +119,9 @@ TEST_P(LazyEquivalence, MaskedOverrideMatchesDeclaredContributionCopy) {
       for (const double declared :
            {0.0, total * 0.5, total, total * 2.0, rng.uniform(0.0, 3.0)}) {
         const auto overlay = ViewOverlay::with_declared_total_contribution(view, user, declared);
-        const auto masked = solve_greedy(view, overlay, kLazyRun);
-        const auto copied = solve_greedy(
-            instance.with_declared_total_contribution(user, declared), kReferenceRun);
+        const auto masked = solve_greedy(view, overlay);
+        const auto copied = reference::solve_greedy_scan(
+            instance.with_declared_total_contribution(user, declared));
         test::expect_identical_greedy(masked, copied);
       }
     }
@@ -156,18 +144,17 @@ TEST_P(RewardEquivalence, CriticalBidsMatchUnderBothRules) {
     const auto view = MultiTaskView::from_instance(instance);
     for (UserId winner : result.allocation.winners) {
       for (const auto& masked_options : kMaskedLazy) {
-        RewardOptions copied_options = masked_options;
-        copied_options.algorithm = GreedyAlgorithm::kReferenceScan;
-        copied_options.masked_resolves = false;
-        // Exact equality across all four lazy/masked × reference/copied
-        // combinations, via the shared-view overload and the instance one.
+        // Exact equality between the production probes (via the shared-view
+        // overload and the instance one) and the reference's copied probes.
         const double masked = critical_contribution(view, winner, masked_options);
-        const double copied = critical_contribution(instance, winner, copied_options);
+        const double copied =
+            reference::critical_contribution(instance, winner, masked_options.rule);
         EXPECT_EQ(masked, copied) << "winner " << winner;
         EXPECT_EQ(critical_contribution(instance, winner, masked_options), masked)
             << "winner " << winner;
         const auto masked_reward = compute_reward(view, winner, masked_options);
-        const auto copied_reward = compute_reward(instance, winner, copied_options);
+        const auto copied_reward =
+            reference::compute_reward(instance, winner, masked_options.alpha, masked_options.rule);
         EXPECT_EQ(masked_reward.critical_contribution, copied_reward.critical_contribution);
         EXPECT_EQ(masked_reward.reward.critical_pos, copied_reward.reward.critical_pos);
         EXPECT_EQ(masked_reward.reward.cost, copied_reward.reward.cost);
@@ -177,13 +164,13 @@ TEST_P(RewardEquivalence, CriticalBidsMatchUnderBothRules) {
 }
 
 TEST_P(RewardEquivalence, MechanismOutcomeMatchesReferenceConfiguration) {
-  auction::MechanismConfig lazy_config;  // the defaults: lazy winner determination, masked rewards
-  auction::MechanismConfig reference_config;
-  reference_config.multi_task.winner_determination = GreedyAlgorithm::kReferenceScan;
-  reference_config.multi_task.masked_rewards = false;
-  for (const auto& instance : instances_for(GetParam())) {
-    test::expect_identical_outcome(run_mechanism(instance, lazy_config),
-                                   run_mechanism(instance, reference_config));
+  for (const bool partial : {false, true}) {
+    auction::MechanismConfig config;
+    config.multi_task.partial_coverage = partial;
+    for (const auto& instance : instances_for(GetParam())) {
+      test::expect_identical_outcome(run_mechanism(instance, config),
+                                     reference::run_multi_task_mechanism(instance, config));
+    }
   }
 }
 

@@ -4,7 +4,7 @@
 // the `parallel` ctest label so the TSan/ASan presets re-run exactly them —
 // the shared-view reads from many workers are what the tsan preset must
 // prove race-free. Determinism is asserted by comparing against the fully
-// serial path (parallel_rewards = false), which must be bit-identical.
+// serial path (reward_workers = 1), which must be bit-identical.
 #include <gtest/gtest.h>
 
 #include "auction/multi_task/mechanism.hpp"
@@ -18,9 +18,8 @@ TEST(MtParallelReward, ParallelRewardsAreBitIdenticalToSerial) {
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     const auto instance = test::random_multi_task(40, 8, 0.6, seed);
     auction::MechanismConfig serial;
-    serial.parallel_rewards = false;
+    serial.reward_workers = 1;
     auction::MechanismConfig parallel;
-    parallel.parallel_rewards = true;
     parallel.reward_workers = 4;
     test::expect_identical_outcome(run_mechanism(instance, serial),
                                    run_mechanism(instance, parallel));
@@ -31,10 +30,9 @@ TEST(MtParallelReward, ParallelProbesShareOneViewAcrossBothRules) {
   const auto instance = test::random_multi_task(30, 6, 0.6, 11);
   for (const auto rule : {CriticalBidRule::kBinarySearch, CriticalBidRule::kPaperIterationMin}) {
     auction::MechanismConfig serial;
-    serial.parallel_rewards = false;
+    serial.reward_workers = 1;
     serial.multi_task.critical_bid_rule = rule;
     auction::MechanismConfig parallel = serial;
-    parallel.parallel_rewards = true;
     parallel.reward_workers = common::default_worker_count();
     test::expect_identical_outcome(run_mechanism(instance, serial),
                                    run_mechanism(instance, parallel));
@@ -46,23 +44,11 @@ TEST(MtParallelReward, RepeatedParallelRunsAreStable) {
   // a race on the shared view or the result slots would show up as a diff
   // (and as a TSan report under the tsan preset).
   const auto instance = test::random_multi_task(25, 5, 0.6, 21);
-  auction::MechanismConfig config;
-  config.parallel_rewards = true;
+  const auction::MechanismConfig config;  // reward_workers = 0: the hardware default
   const auto first = run_mechanism(instance, config);
   for (int rep = 0; rep < 8; ++rep) {
     test::expect_identical_outcome(first, run_mechanism(instance, config));
   }
-}
-
-TEST(MtParallelReward, LegacyCopiedProbesAlsoRunInParallel) {
-  // masked_rewards = false still fans out across the pool (each probe owns
-  // its instance copy); it must agree with the masked default bit for bit.
-  const auto instance = test::random_multi_task(30, 6, 0.6, 31);
-  auction::MechanismConfig masked;
-  auction::MechanismConfig copied;
-  copied.multi_task.masked_rewards = false;
-  test::expect_identical_outcome(run_mechanism(instance, masked),
-                                 run_mechanism(instance, copied));
 }
 
 }  // namespace

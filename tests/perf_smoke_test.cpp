@@ -1,16 +1,17 @@
 // Fast perf-smoke gate (seconds, not minutes): runs both scaling suites'
 // shapes at tiny sizes and asserts each optimized path — the multi-task one
 // (lazy greedy + masked re-solves + parallel rewards) and the single-task
-// critical-bid DP-reuse fast path — agrees with its reference/oracle path
-// (full-rescan winner determination + copied-instance or full-solve probes)
-// END TO END —
+// critical-bid DP-reuse fast path — agrees with its oracle (the independent
+// full-rescan, copied-probe mechanism in src/reference/, and full-solve
+// probes) END TO END —
 // the same invariant bench/perf_mechanisms measures at n up to 400, wired
 // into every preset's ctest run so a correctness regression in the hot path
 // can never hide behind a green unit suite. Carries the `parallel` label so
 // the tsan and asan-ubsan presets (which filter on that label) include it.
 // No timing assertions: sanitizer builds are legitimately slow. Work is
-// gated on deterministic counters instead — here, heap allocations of the
-// sharded round's column partition, counted on every thread through the
+// gated on deterministic counters instead — here, the lazy greedy's heap
+// re-evaluations against the full rescan's exact count, heap allocations of
+// the sharded round's column partition, counted on every thread through the
 // replaced global operator new below, and the single-task fast path's exact
 // re-solves and fallbacks per probe.
 #include <gtest/gtest.h>
@@ -24,12 +25,14 @@
 #include <new>
 #include <utility>
 
+#include "auction/multi_task/greedy.hpp"
 #include "auction/multi_task/mechanism.hpp"
 #include "auction/single_task/mechanism.hpp"
 #include "bench_shapes.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "obs/telemetry.hpp"
+#include "reference/multi_task.hpp"
 #include "service/shard.hpp"
 #include "sim/adversary.hpp"
 #include "test_util.hpp"
@@ -104,10 +107,7 @@ namespace mcs::auction::multi_task {
 namespace {
 
 TEST(PerfSmoke, LazyAndReferenceMechanismsAgreeAcrossTinyScalingSweep) {
-  auction::MechanismConfig lazy;  // defaults: kLazy + masked + parallel rewards
-  auction::MechanismConfig reference;
-  reference.multi_task.winner_determination = GreedyAlgorithm::kReferenceScan;
-  reference.multi_task.masked_rewards = false;
+  const auction::MechanismConfig lazy;  // defaults: masked probes + parallel rewards
   std::size_t feasible = 0;
   for (const std::size_t n : {10, 20, 40}) {
     for (const std::uint64_t seed : {1ull, 2ull}) {
@@ -116,7 +116,7 @@ TEST(PerfSmoke, LazyAndReferenceMechanismsAgreeAcrossTinyScalingSweep) {
       const auto optimized = run_mechanism(instance, lazy);
       const std::chrono::duration<double> lazy_elapsed =
           std::chrono::steady_clock::now() - start;
-      const auto baseline = run_mechanism(instance, reference);
+      const auto baseline = reference::run_multi_task_mechanism(instance, lazy);
       test::expect_identical_outcome(optimized, baseline);
       feasible += optimized.allocation.feasible ? 1 : 0;
       std::cout << "[perf-smoke] n=" << n << " seed=" << seed << " winners="
@@ -127,6 +127,30 @@ TEST(PerfSmoke, LazyAndReferenceMechanismsAgreeAcrossTinyScalingSweep) {
   // The reward (critical-bid) phase only runs on feasible covers; the sweep
   // must exercise it, not just winner determination.
   EXPECT_GT(feasible, 0u);
+}
+
+TEST(PerfSmoke, LazyGreedyReevaluationsStayBounded) {
+  // The deterministic case for the CELF heap: a full rescan evaluates every
+  // unselected user each round, Σ_{r<rounds} (n − r) gains in all, while the
+  // lazy heap recomputes only entries that surface stale. On the scaling
+  // shapes below the lazy count sits 7.1–19.8× under the rescan's; the gate
+  // asks for 5×. Small shapes (n = 40, 6 tasks: ~4×) are not gated.
+  for (const auto& [n, tasks] : {std::pair<std::size_t, std::size_t>{300, 50}, {2000, 128}}) {
+    for (const std::uint64_t seed : {1ull, 2ull}) {
+      const auto instance = bench_shapes::scaling_instance(n, tasks, seed);
+      obs::PhaseCounters counters;
+      const auto result = solve_greedy(instance, GreedyOptions{.counters = &counters});
+      ASSERT_TRUE(result.allocation.feasible) << "n=" << n << " seed=" << seed;
+      const std::uint64_t rounds = counters.rounds;
+      ASSERT_EQ(rounds, result.steps.size());
+      const std::uint64_t rescan_evaluations = rounds * n - rounds * (rounds - 1) / 2;
+      std::cout << "[perf-smoke] lazy greedy n=" << n << " tasks=" << tasks << " seed=" << seed
+                << " heap_reevaluations=" << counters.heap_reevaluations
+                << " rescan_evaluations=" << rescan_evaluations << "\n";
+      EXPECT_LE(counters.heap_reevaluations * 5, rescan_evaluations)
+          << "n=" << n << " seed=" << seed;
+    }
+  }
 }
 
 TEST(PerfSmoke, SingleTaskFastProbesAgreeWithOracleAcrossTinyScalingSweep) {
@@ -290,12 +314,9 @@ TEST(PerfSmoke, QuickAdversarialSweepStaysCleanOnTheoremAxes) {
 TEST(PerfSmoke, BothCriticalBidRulesSurviveTheSweep) {
   auction::MechanismConfig lazy;
   lazy.multi_task.critical_bid_rule = CriticalBidRule::kPaperIterationMin;
-  auction::MechanismConfig reference = lazy;
-  reference.multi_task.winner_determination = GreedyAlgorithm::kReferenceScan;
-  reference.multi_task.masked_rewards = false;
   const auto instance = bench_shapes::scaling_instance(20, 6, 3, 0.6);
   test::expect_identical_outcome(run_mechanism(instance, lazy),
-                                 run_mechanism(instance, reference));
+                                 reference::run_multi_task_mechanism(instance, lazy));
 }
 
 /// A service_load-style round at 128 tasks in 16 residue classes, with ~7.5%

@@ -11,6 +11,7 @@
 #include <string>
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include "common/check.hpp"
 #include "obs/telemetry.hpp"
@@ -23,8 +24,7 @@ class JournalFixture : public ::testing::Test {
   JournalFixture() : city_(make_config()), dataset_(trace::generate_trace(city_)) {
     fleet_ = mobility::FleetModel(dataset_, city_.grid(), mobility::MarkovLearner(1.0));
     journal_path_ = std::filesystem::temp_directory_path() /
-                    ("mcs_journal_test_" + std::to_string(::testing::UnitTest::GetInstance()
-                                                              ->random_seed()) +
+                    ("mcs_journal_test_" + std::to_string(::getpid()) +
                      "_" + ::testing::UnitTest::GetInstance()->current_test_info()->name() +
                      ".journal");
     std::filesystem::remove(journal_path_);

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include "common/check.hpp"
 #include "common/fault_injection.hpp"
@@ -54,7 +55,7 @@ class JournalPathFixture : public ::testing::Test {
     journal_path_ =
         std::filesystem::temp_directory_path() /
         ("mcs_service_journal_" +
-         std::to_string(::testing::UnitTest::GetInstance()->random_seed()) + "_" +
+         std::to_string(::getpid()) + "_" +
          ::testing::UnitTest::GetInstance()->current_test_info()->name() + ".journal");
     std::filesystem::remove(journal_path_);
   }
@@ -211,18 +212,6 @@ TEST(CampaignServiceApi, PaperIterationMinRefusedWhenSharded) {
   EXPECT_THROW(CampaignService{config}, common::PreconditionError);
   config.shards = ShardMap(1);  // not shard-decomposable, but unsharded is fine
   EXPECT_NO_THROW(CampaignService{config});
-}
-
-TEST(CampaignServiceApi, CopiedProbeRewardsRefusedWhenSharded) {
-  // Sharded rounds run on CSR views, and the copied-probe reward path
-  // re-solves on an AoS instance that a view does not carry.
-  ServiceConfig config;
-  config.shards = ShardMap(2);
-  config.mechanism.multi_task.masked_rewards = false;
-  EXPECT_THROW(CampaignService{config}, common::PreconditionError);
-  config.shards = ShardMap(1);  // the pass-through still runs on the instance
-  CampaignService service{config};
-  EXPECT_TRUE(service.wait_outcome(service.submit_round(flat_round(10, 3, 8))).ok());
 }
 
 // ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include "common/check.hpp"
 #include "common/fault_injection.hpp"
@@ -377,7 +378,7 @@ class ChaosJournalFixture : public ::testing::Test {
     journal_path_ =
         std::filesystem::temp_directory_path() /
         ("mcs_chaos_journal_" +
-         std::to_string(::testing::UnitTest::GetInstance()->random_seed()) + "_" +
+         std::to_string(::getpid()) + "_" +
          ::testing::UnitTest::GetInstance()->current_test_info()->name() + ".journal");
     std::filesystem::remove(journal_path_);
   }

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include "auction/online/mechanism.hpp"
 #include "common/check.hpp"
@@ -51,7 +52,7 @@ class EpochJournalFixture : public ::testing::Test {
     journal_path_ =
         std::filesystem::temp_directory_path() /
         ("mcs_epoch_journal_" +
-         std::to_string(::testing::UnitTest::GetInstance()->random_seed()) + "_" +
+         std::to_string(::getpid()) + "_" +
          ::testing::UnitTest::GetInstance()->current_test_info()->name() + ".journal");
     std::filesystem::remove(journal_path_);
   }

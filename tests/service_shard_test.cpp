@@ -425,12 +425,6 @@ TEST(ColumnPartition, EngineRunsViewsBitIdenticallyToInstances) {
     }
   }
   EXPECT_GT(paid, 0u);
-  // The copied-probe reward path needs the instance; a view slot refuses it.
-  auction::MechanismConfig copied;
-  copied.multi_task.masked_rewards = false;
-  const auto partition = partition_round(round, ShardMap(2));
-  EXPECT_EQ(engine.run_one_isolated(partition.shards[0].view, copied).status,
-            auction::AuctionStatus::kFailed);
 }
 
 TEST(ColumnPartition, ZeroTaskRoundReportsEveryUserUnassigned) {

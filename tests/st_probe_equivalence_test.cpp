@@ -123,9 +123,8 @@ TEST_P(ProbeEquivalence, FastPathMatchesOracleBitIdentically) {
             obs::PhaseCounters oracle_counters;
             fast.counters = &fast_counters;
             oracle.counters = &oracle_counters;
-            EXPECT_EQ(critical_contribution(instance, winner, fast),
-                      critical_contribution(instance, winner, oracle))
-                << "winner " << winner;
+            // One compute_reward per strategy: it runs the critical-bid
+            // search once, and every assertion below reads that call.
             const auto fast_reward = compute_reward(instance, winner, fast);
             const auto oracle_reward = compute_reward(instance, winner, oracle);
             EXPECT_EQ(fast_reward.critical_contribution, oracle_reward.critical_contribution)

@@ -88,6 +88,35 @@ TEST(Reward, RejectsBadOptions) {
   EXPECT_THROW(compute_reward(paper_example(), 0, options), common::PreconditionError);
 }
 
+/// The copying probe path, kept test-local: every wins(q) probe solves a fresh
+/// with_declared_contribution copy, bisected exactly as Algorithm 3 does.
+double copied_probe_critical(const SingleTaskInstance& instance, UserId winner,
+                             const RewardOptions& options) {
+  const auto wins = [&](double q) {
+    const auto probe = instance.with_declared_contribution(winner, q);
+    const auto allocation = options.winner_rule == WinnerRule::kMinGreedy
+                                ? solve_min_greedy(probe)
+                                : solve_fptas(probe, options.epsilon);
+    return allocation.feasible && allocation.contains(winner);
+  };
+  const double declared = instance.contribution(winner);
+  EXPECT_TRUE(wins(declared));
+  if (wins(0.0)) {
+    return 0.0;
+  }
+  double lo = 0.0;
+  double hi = declared;
+  for (int iter = 0; iter < options.binary_search_iterations; ++iter) {
+    const double mid = 0.5 * (lo + hi);
+    if (wins(mid)) {
+      hi = mid;
+    } else {
+      lo = mid;
+    }
+  }
+  return hi;
+}
+
 TEST(CriticalBid, ScratchProbesAreBitIdenticalToCopiedProbes) {
   // Regression for the probe allocation bug: each wins-with-contribution
   // probe used to materialize a full O(n) instance copy. The scratch path
@@ -99,14 +128,12 @@ TEST(CriticalBid, ScratchProbesAreBitIdenticalToCopiedProbes) {
     const auto instance = test::random_single_task(15, 0.8, seed);
     for (const WinnerRule rule : {WinnerRule::kFptas, WinnerRule::kMinGreedy}) {
       // Pin the full-solve strategy: with kDpReuse the FPTAS search answers
-      // from the probe context before the scratch/copied split is reached,
-      // and this test is specifically about the two full-solve probe paths.
-      RewardOptions scratch{.alpha = 10.0,
-                            .epsilon = 0.5,
-                            .winner_rule = rule,
-                            .probe_strategy = ProbeStrategy::kFullSolve};
-      RewardOptions copied = scratch;
-      copied.scratch_probes = false;
+      // from the probe context and never reaches the scratch probes, and
+      // this test is specifically about the full-solve probe path.
+      const RewardOptions scratch{.alpha = 10.0,
+                                  .epsilon = 0.5,
+                                  .winner_rule = rule,
+                                  .probe_strategy = ProbeStrategy::kFullSolve};
       const auto allocation = rule == WinnerRule::kFptas
                                   ? solve_fptas(instance, scratch.epsilon)
                                   : solve_min_greedy(instance);
@@ -115,7 +142,7 @@ TEST(CriticalBid, ScratchProbesAreBitIdenticalToCopiedProbes) {
       }
       for (const UserId winner : allocation.winners) {
         EXPECT_EQ(critical_contribution(instance, winner, scratch),
-                  critical_contribution(instance, winner, copied))
+                  copied_probe_critical(instance, winner, scratch))
             << "seed " << seed << " winner " << winner;
       }
     }
