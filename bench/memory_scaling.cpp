@@ -102,7 +102,8 @@ std::vector<auction::single_task::KnapsackItem> frontier_items(std::size_t n,
   std::vector<auction::single_task::KnapsackItem> items;
   items.reserve(n);
   for (std::size_t k = 0; k < n; ++k) {
-    items.push_back({rng.uniform(0.01, 0.5), rng.uniform_int(1, static_cast<std::int64_t>(n))});
+    items.push_back({auction::coverage::quantize(rng.uniform(0.01, 0.5)),
+                     rng.uniform_int(1, static_cast<std::int64_t>(n))});
   }
   return items;
 }
@@ -110,7 +111,8 @@ std::vector<auction::single_task::KnapsackItem> frontier_items(std::size_t n,
 /// Best-of-`reps` wall-clock of frontier-only sweeps under one kernel — the
 /// exact call the probe context issues thousands of times per reward phase.
 double best_frontier_seconds(const std::vector<auction::single_task::KnapsackItem>& items,
-                             double requirement, DpKernel kernel, std::size_t reps) {
+                             auction::coverage::Amount requirement, DpKernel kernel,
+                             std::size_t reps) {
   double best = std::numeric_limits<double>::infinity();
   std::size_t guard = 0;
   for (std::size_t rep = 0; rep < reps; ++rep) {
@@ -212,7 +214,7 @@ int run(const char* argv0, const std::string& out) {
     const double oracle_s =
         best_mechanism_seconds(instance, config_for(DpKernel::kScalarOracle), reps);
     const auto items = frontier_items(4 * n, 21 + n);
-    const double requirement = 0.05 * static_cast<double>(n);
+    const auto requirement = auction::coverage::quantize(0.05 * static_cast<double>(n));
     const double frontier_columns_s =
         best_frontier_seconds(items, requirement, DpKernel::kColumns, reps);
     const double frontier_oracle_s =

@@ -65,10 +65,11 @@ void BM_KnapsackDp(benchmark::State& state) {
   std::vector<auction::single_task::KnapsackItem> items;
   items.reserve(n);
   for (std::size_t k = 0; k < n; ++k) {
-    items.push_back({rng.uniform(0.02, 0.4), rng.uniform_int(1, 400)});
+    items.push_back({auction::coverage::quantize(rng.uniform(0.02, 0.4)), rng.uniform_int(1, 400)});
   }
+  const auto requirement = auction::coverage::quantize(1.6);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(auction::single_task::solve_min_knapsack(items, 1.6));
+    benchmark::DoNotOptimize(auction::single_task::solve_min_knapsack(items, requirement));
   }
 }
 BENCHMARK(BM_KnapsackDp)->Arg(20)->Arg(50)->Arg(100)->Arg(200);

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "auction/columns.hpp"
+#include "auction/coverage.hpp"
 #include "common/check.hpp"
 #include "common/math.hpp"
 
@@ -48,15 +49,19 @@ double SingleTaskInstance::cost_of(const std::vector<UserId>& users) const {
 }
 
 bool SingleTaskInstance::covers(const std::vector<UserId>& users) const {
-  return common::approx_ge(contribution_of(users), requirement_contribution());
+  coverage::Amount total = 0;
+  for (UserId user : users) {
+    total = coverage::add(total, coverage::quantize(contribution(user)));
+  }
+  return total >= coverage::threshold(requirement_contribution());
 }
 
 bool SingleTaskInstance::is_feasible() const {
-  double total = 0.0;
-  for (std::size_t k = 0; k < bids.size(); ++k) {
-    total += common::contribution_from_pos(bids[k].pos);
+  coverage::Amount total = 0;
+  for (const SingleTaskBid& bid : bids) {
+    total = coverage::add(total, coverage::quantize(common::contribution_from_pos(bid.pos)));
   }
-  return common::approx_ge(total, requirement_contribution());
+  return total >= coverage::threshold(requirement_contribution());
 }
 
 BidColumns SingleTaskInstance::make_columns() const {

@@ -40,9 +40,10 @@ struct SingleTaskInstance {
   double contribution_of(const std::vector<UserId>& users) const;
   /// Σ_i c_i over a user set.
   double cost_of(const std::vector<UserId>& users) const;
-  /// True when the user set meets the requirement (with tolerance).
+  /// True when the user set meets the requirement, decided by the exact
+  /// coverage predicate every single-task solver uses (auction/coverage.hpp).
   bool covers(const std::vector<UserId>& users) const;
-  /// True when even selecting everyone meets the requirement.
+  /// True when even selecting everyone meets the requirement (same predicate).
   bool is_feasible() const;
 
   /// Flat SoA snapshot of the bids (cost[] and q[] columns, 64-byte

@@ -24,15 +24,16 @@ BudgetedCoverage max_coverage_for_budget(const SingleTaskInstance& instance, dou
   std::vector<UserId> item_user;
   items.reserve(instance.num_users());
   for (std::size_t k = 0; k < instance.num_users(); ++k) {
-    const double q = instance.contribution(static_cast<UserId>(k));
-    if (q <= 0.0) {
+    const coverage::Amount amount =
+        coverage::quantize(instance.contribution(static_cast<UserId>(k)));
+    if (amount == 0) {
       continue;  // never helps coverage
     }
     const auto scaled = static_cast<std::int64_t>(std::ceil(instance.bids[k].cost / mu));
     if (scaled > scaled_budget) {
       continue;  // cannot fit alone
     }
-    items.push_back({q, scaled});
+    items.push_back({amount, scaled});
     item_user.push_back(static_cast<UserId>(k));
   }
 

@@ -1,10 +1,8 @@
 #include "auction/single_task/dp_knapsack.hpp"
 
 #include <algorithm>
-#include <limits>
 
 #include "common/check.hpp"
-#include "common/math.hpp"
 
 namespace mcs::auction::single_task {
 
@@ -13,17 +11,18 @@ namespace {
 /// A DP state; subsets are reconstructed by following `parent` links.
 struct State {
   std::int64_t cost = 0;
-  double contribution = 0.0;
+  coverage::Amount contribution = 0;
   std::int32_t item = -1;    ///< item added to create this state; -1 for the root
   std::int32_t parent = -1;  ///< pool index of the predecessor state
 };
 
 /// Runs the Algorithm 1 sweep: builds the Pareto frontier (cost ascending,
 /// contribution ascending) over all items. Contributions are capped at
-/// `contribution_cap` when finite; states with cost > cost_cap are dropped
-/// when cost_cap >= 0. Returns the state pool and the final frontier.
+/// `contribution_cap` (<= coverage::kSaturated, so a state plus an item never
+/// overflows); states with cost > cost_cap are dropped when cost_cap >= 0.
+/// Returns the state pool and the final frontier.
 std::pair<std::vector<State>, std::vector<std::int32_t>> sweep(
-    std::span<const KnapsackItem> items, double contribution_cap, std::int64_t cost_cap,
+    std::span<const KnapsackItem> items, coverage::Amount contribution_cap, std::int64_t cost_cap,
     const common::Deadline& deadline = {}) {
   std::vector<State> pool;
   pool.push_back(State{});  // the empty set
@@ -55,7 +54,7 @@ std::pair<std::vector<State>, std::vector<std::int32_t>> sweep(
     merged.reserve(frontier.size() + extensions.size());
     std::size_t a = 0;
     std::size_t b = 0;
-    double best_contribution = -1.0;
+    coverage::Amount best_contribution = -1;
     while (a < frontier.size() || b < extensions.size()) {
       const bool take_old =
           b >= extensions.size() ||
@@ -102,7 +101,8 @@ KnapsackSolution reconstruct(const std::vector<State>& pool, std::int32_t state_
 void check_items(std::span<const KnapsackItem> items) {
   for (const auto& item : items) {
     MCS_EXPECTS(item.scaled_cost >= 0, "scaled costs must be non-negative");
-    MCS_EXPECTS(item.contribution >= 0.0, "contributions must be non-negative");
+    MCS_EXPECTS(item.contribution >= 0 && item.contribution <= coverage::kSaturated,
+                "contributions must lie in [0, coverage::kSaturated]");
   }
 }
 
@@ -111,10 +111,10 @@ void check_items(std::span<const KnapsackItem> items) {
 // The frontier lives in two parallel, contiguous rows: costs[] and
 // contribs[]. Each item's pass first materializes the extension rows in two
 // tight loops the compiler can vectorize (an integer add lane and a
-// min(cap, +) lane), then merges old row and extension row with the same
-// two-pointer, old-first-on-ties, dominance-pruning walk the scalar oracle
-// performs. Every comparison runs on the same doubles in the same order as
-// the oracle, so survivors and their order are bit-identical; only the
+// min(cap, +) integer lane), then merges old row and extension row with the
+// same two-pointer, old-first-on-ties, dominance-pruning walk the scalar
+// oracle performs. Every comparison runs on the same values in the same order
+// as the oracle, so survivors and their order are identical; only the
 // storage changed. Parent links for subset reconstruction sit in a separate
 // node pool that exists only when the caller asked to reconstruct — the
 // frontier-only path (the reward probe context's inner loop) touches pure
@@ -131,17 +131,17 @@ struct ParentNode {
 /// when the sweep ran with track_parents.
 struct ColumnsResult {
   std::vector<std::int64_t> costs;
-  std::vector<double> contribs;
+  std::vector<coverage::Amount> contribs;
   std::vector<std::int32_t> ids;  ///< parent-pool node id per frontier entry
   std::vector<ParentNode> pool;
 };
 
-ColumnsResult sweep_columns(std::span<const KnapsackItem> items, double contribution_cap,
-                            std::int64_t cost_cap, const common::Deadline& deadline,
-                            bool track_parents) {
+ColumnsResult sweep_columns(std::span<const KnapsackItem> items,
+                            coverage::Amount contribution_cap, std::int64_t cost_cap,
+                            const common::Deadline& deadline, bool track_parents) {
   ColumnsResult result;
   result.costs.push_back(0);        // the empty set
-  result.contribs.push_back(0.0);
+  result.contribs.push_back(0);
   if (track_parents) {
     result.pool.push_back(ParentNode{});
     result.ids.push_back(0);
@@ -149,10 +149,10 @@ ColumnsResult sweep_columns(std::span<const KnapsackItem> items, double contribu
 
   // Double-buffered rows; capacity is retained across items via swap.
   std::vector<std::int64_t> next_costs;
-  std::vector<double> next_contribs;
+  std::vector<coverage::Amount> next_contribs;
   std::vector<std::int32_t> next_ids;
   std::vector<std::int64_t> ext_costs;
-  std::vector<double> ext_contribs;
+  std::vector<coverage::Amount> ext_contribs;
 
   for (std::size_t j = 0; j < items.size(); ++j) {
     deadline.check("knapsack DP sweep");
@@ -190,13 +190,13 @@ ColumnsResult sweep_columns(std::span<const KnapsackItem> items, double contribu
       next_ids.resize(n + ext_end);
     }
     const std::int64_t* old_costs = result.costs.data();
-    const double* old_contribs = result.contribs.data();
+    const coverage::Amount* old_contribs = result.contribs.data();
     std::int64_t* out_costs = next_costs.data();
-    double* out_contribs = next_contribs.data();
+    coverage::Amount* out_contribs = next_contribs.data();
     std::size_t out = 0;
     std::size_t a = 0;
     std::size_t b = 0;
-    double best_contribution = -1.0;
+    coverage::Amount best_contribution = -1;
     while (a < n && b < ext_end) {
       if (old_costs[a] <= ext_costs[b]) {
         if (old_contribs[a] > best_contribution) {
@@ -273,17 +273,22 @@ KnapsackSolution reconstruct_columns(const ColumnsResult& result, std::size_t en
   return solution;
 }
 
+void check_threshold(coverage::Amount threshold) {
+  MCS_EXPECTS(threshold >= 0 && threshold <= coverage::kSaturated,
+              "threshold must lie in [0, coverage::kSaturated]");
+}
+
 }  // namespace
 
 std::vector<FrontierEntry> min_knapsack_frontier(std::span<const KnapsackItem> items,
-                                                 double requirement,
+                                                 coverage::Amount threshold,
                                                  const common::Deadline& deadline,
                                                  DpKernel kernel) {
-  MCS_EXPECTS(requirement >= 0.0, "requirement must be non-negative");
+  check_threshold(threshold);
   check_items(items);
   std::vector<FrontierEntry> entries;
   if (kernel == DpKernel::kScalarOracle) {
-    const auto [pool, frontier] = sweep(items, requirement, /*cost_cap=*/-1, deadline);
+    const auto [pool, frontier] = sweep(items, threshold, /*cost_cap=*/-1, deadline);
     entries.reserve(frontier.size());
     for (std::int32_t state_index : frontier) {
       const State& state = pool[static_cast<std::size_t>(state_index)];
@@ -292,7 +297,7 @@ std::vector<FrontierEntry> min_knapsack_frontier(std::span<const KnapsackItem> i
     return entries;
   }
   const ColumnsResult result =
-      sweep_columns(items, requirement, /*cost_cap=*/-1, deadline, /*track_parents=*/false);
+      sweep_columns(items, threshold, /*cost_cap=*/-1, deadline, /*track_parents=*/false);
   entries.reserve(result.costs.size());
   for (std::size_t i = 0; i < result.costs.size(); ++i) {
     entries.push_back({result.costs[i], result.contribs[i]});
@@ -301,30 +306,30 @@ std::vector<FrontierEntry> min_knapsack_frontier(std::span<const KnapsackItem> i
 }
 
 std::optional<KnapsackSolution> solve_min_knapsack(std::span<const KnapsackItem> items,
-                                                   double requirement,
+                                                   coverage::Amount threshold,
                                                    const common::Deadline& deadline,
                                                    DpKernel kernel,
                                                    std::optional<std::int64_t> cost_cap) {
-  MCS_EXPECTS(requirement >= 0.0, "requirement must be non-negative");
+  check_threshold(threshold);
   MCS_EXPECTS(!cost_cap.has_value() || *cost_cap >= 0, "cost cap must be non-negative");
   check_items(items);
   const std::int64_t cap = cost_cap.value_or(-1);  // the sweeps read -1 as "no cap"
   // Minimum-cost feasible state: the frontier is cost-ascending, so the first
   // state meeting the requirement is optimal.
   if (kernel == DpKernel::kScalarOracle) {
-    const auto [pool, frontier] = sweep(items, requirement, cap, deadline);
+    const auto [pool, frontier] = sweep(items, threshold, cap, deadline);
     for (std::int32_t state_index : frontier) {
       const State& state = pool[static_cast<std::size_t>(state_index)];
-      if (common::approx_ge(state.contribution, requirement)) {
+      if (state.contribution >= threshold) {
         return reconstruct(pool, state_index);
       }
     }
     return std::nullopt;
   }
   const ColumnsResult result =
-      sweep_columns(items, requirement, cap, deadline, /*track_parents=*/true);
+      sweep_columns(items, threshold, cap, deadline, /*track_parents=*/true);
   for (std::size_t i = 0; i < result.costs.size(); ++i) {
-    if (common::approx_ge(result.contribs[i], requirement)) {
+    if (result.contribs[i] >= threshold) {
       return reconstruct_columns(result, i);
     }
   }
@@ -338,12 +343,12 @@ KnapsackSolution solve_max_knapsack(std::span<const KnapsackItem> items, std::in
   // The frontier is contribution-ascending, so its last state (all states
   // already respect the budget) carries the maximum contribution.
   if (kernel == DpKernel::kScalarOracle) {
-    const auto [pool, frontier] = sweep(items, std::numeric_limits<double>::infinity(), budget);
+    const auto [pool, frontier] = sweep(items, coverage::kSaturated, budget);
     MCS_ENSURES(!frontier.empty(), "the empty set always fits the budget");
     return reconstruct(pool, frontier.back());
   }
-  const ColumnsResult result = sweep_columns(items, std::numeric_limits<double>::infinity(),
-                                             budget, common::Deadline{}, /*track_parents=*/true);
+  const ColumnsResult result = sweep_columns(items, coverage::kSaturated, budget,
+                                             common::Deadline{}, /*track_parents=*/true);
   MCS_ENSURES(!result.costs.empty(), "the empty set always fits the budget");
   return reconstruct_columns(result, result.costs.size() - 1);
 }

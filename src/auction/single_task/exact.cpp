@@ -4,9 +4,9 @@
 #include <limits>
 #include <numeric>
 
+#include "auction/coverage.hpp"
 #include "auction/single_task/min_greedy.hpp"
 #include "common/check.hpp"
-#include "common/math.hpp"
 
 namespace mcs::auction::single_task {
 
@@ -15,20 +15,21 @@ namespace {
 struct SearchItem {
   UserId user = 0;
   double cost = 0.0;
-  double contribution = 0.0;
+  coverage::Amount amount = 0;  ///< quantized contribution (auction/coverage.hpp)
 };
 
 class BranchAndBound {
  public:
-  BranchAndBound(std::vector<SearchItem> items, double requirement, std::size_t node_budget)
-      : items_(std::move(items)), requirement_(requirement), node_budget_(node_budget) {}
+  BranchAndBound(std::vector<SearchItem> items, coverage::Amount threshold,
+                 std::size_t node_budget)
+      : items_(std::move(items)), threshold_(threshold), node_budget_(node_budget) {}
 
   void seed_incumbent(double cost, std::vector<UserId> winners) {
     best_cost_ = cost;
     best_set_ = std::move(winners);
   }
 
-  void run() { search(0, 0.0, 0.0); }
+  void run() { search(0, 0.0, 0); }
 
   double best_cost() const { return best_cost_; }
   const std::vector<UserId>& best_set() const { return best_set_; }
@@ -37,31 +38,29 @@ class BranchAndBound {
 
  private:
   /// LP-relaxation lower bound: cheapest fractional fill of the residual
-  /// requirement using the density-sorted suffix starting at `index`.
+  /// threshold using the density-sorted suffix starting at `index`.
   /// +infinity when the suffix cannot cover the residual even fully taken.
-  double fractional_bound(std::size_t index, double covered) const {
-    double residual = requirement_ - covered;
-    if (residual <= 0.0) {
-      return 0.0;
-    }
+  double fractional_bound(std::size_t index, coverage::Amount covered) const {
+    coverage::Amount residual = threshold_ - covered;
     double bound = 0.0;
     for (std::size_t k = index; k < items_.size(); ++k) {
       const auto& item = items_[k];
-      if (item.contribution >= residual) {
-        return bound + item.cost * (residual / item.contribution);
+      if (item.amount >= residual) {
+        return bound + item.cost * (static_cast<double>(residual) /
+                                    static_cast<double>(item.amount));
       }
       bound += item.cost;
-      residual -= item.contribution;
+      residual -= item.amount;
     }
     return std::numeric_limits<double>::infinity();
   }
 
-  void search(std::size_t index, double cost, double covered) {
+  void search(std::size_t index, double cost, coverage::Amount covered) {
     if (nodes_ >= node_budget_) {
       return;
     }
     ++nodes_;
-    if (common::approx_ge(covered, requirement_)) {
+    if (covered >= threshold_) {
       if (cost < best_cost_) {
         best_cost_ = cost;
         best_set_ = current_;
@@ -77,13 +76,13 @@ class BranchAndBound {
     // Include-first: the density order makes early inclusions likely optimal,
     // tightening the incumbent quickly.
     current_.push_back(items_[index].user);
-    search(index + 1, cost + items_[index].cost, covered + items_[index].contribution);
+    search(index + 1, cost + items_[index].cost, coverage::add(covered, items_[index].amount));
     current_.pop_back();
     search(index + 1, cost, covered);
   }
 
   std::vector<SearchItem> items_;
-  double requirement_;
+  coverage::Amount threshold_;
   std::size_t node_budget_;
   std::size_t nodes_ = 0;
   double best_cost_ = std::numeric_limits<double>::infinity();
@@ -103,22 +102,24 @@ ExactResult solve_exact(const SingleTaskInstance& instance, const ExactOptions& 
   std::vector<SearchItem> items;
   items.reserve(instance.num_users());
   for (std::size_t k = 0; k < instance.num_users(); ++k) {
-    const double q = instance.contribution(static_cast<UserId>(k));
-    if (q <= 0.0) {
+    const coverage::Amount amount =
+        coverage::quantize(instance.contribution(static_cast<UserId>(k)));
+    if (amount == 0) {
       continue;  // positive cost, zero contribution: never part of an optimum
     }
-    items.push_back({static_cast<UserId>(k), instance.bids[k].cost, q});
+    items.push_back({static_cast<UserId>(k), instance.bids[k].cost, amount});
   }
   std::sort(items.begin(), items.end(), [](const SearchItem& a, const SearchItem& b) {
-    const double da = a.contribution / a.cost;
-    const double db = b.contribution / b.cost;
+    const double da = static_cast<double>(a.amount) / a.cost;
+    const double db = static_cast<double>(b.amount) / b.cost;
     if (da != db) {
       return da > db;
     }
     return a.user < b.user;
   });
 
-  BranchAndBound solver(std::move(items), instance.requirement_contribution(),
+  BranchAndBound solver(std::move(items),
+                        coverage::threshold(instance.requirement_contribution()),
                         options.node_budget);
   const Allocation warm_start = solve_min_greedy(instance);
   MCS_ENSURES(warm_start.feasible, "warm start must exist for a feasible instance");

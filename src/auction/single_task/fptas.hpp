@@ -4,10 +4,17 @@
 // exactly by Algorithm 1, and the best feasible solution across the n
 // subproblems (compared in the scaled domain, as in the paper) is returned.
 //
+// Coverage is decided by the exact integer predicate of auction/coverage.hpp
+// (contributions floored to 2^-40 units, one integer threshold), shared by
+// every single-task solver and the probe context below.
+//
 // Guarantees (paper Theorems 1-3, Lemma 1):
-//   * (1+ε)-approximation of the optimal social cost,
+//   * (1+ε)-approximation of the optimal social cost among sets that meet
+//     the same integer predicate — i.e. against the requirement shifted by
+//     at most n·2^-40 in contribution,
 //   * monotone in each user's declared PoS — the property the critical-bid
-//     reward scheme (Algorithm 3) relies on,
+//     reward scheme (Algorithm 3) relies on; flooring is monotone, so the
+//     quantized declaration keeps it,
 //   * O(n^4/ε) time.
 #pragma once
 
@@ -31,7 +38,10 @@ namespace mcs::auction::single_task {
 /// accumulates rounds (subproblem scans) and scan-level deadline polls (the
 /// DP's inner polls are uncounted to keep the hot loop branch-free).
 /// `kernel` selects the Algorithm 1 sweep implementation (see DpKernel);
-/// both settings return bit-identical allocations.
+/// both settings return bit-identical allocations. Coverage — the
+/// feasibility check, the prefix filter, the DP — is the exact integer
+/// predicate of auction/coverage.hpp, so a feasible instance always yields
+/// a cover (a postcondition, not a recoverable case).
 Allocation solve_fptas(const SingleTaskInstance& instance, double epsilon,
                        const common::Deadline& deadline = {},
                        obs::PhaseCounters* counters = nullptr,
@@ -40,7 +50,7 @@ Allocation solve_fptas(const SingleTaskInstance& instance, double epsilon,
 /// Column-routed overload: reads every per-user cost and contribution from
 /// `columns` (one BidColumns::from_single_task snapshot of `instance`)
 /// instead of striding the nested bids. The snapshot carries the identical
-/// doubles the struct accessors would compute, so the allocation is
+/// values the struct accessors would compute, so the allocation is
 /// bit-identical; the mechanism facade builds the columns once per run and
 /// shares them between winner determination and every reward search.
 Allocation solve_fptas(const SingleTaskInstance& instance, const BidColumns& columns,
@@ -56,36 +66,26 @@ Allocation solve_fptas(const SingleTaskInstance& instance, const BidColumns& col
 /// probe-invariant parts, computed once per winner:
 ///
 ///   * the (cost, id) sort order, the winner's slot m in it, and the other
-///     users' contributions — costs never change during a search;
+///     users' quantized contributions — costs never change during a search;
 ///   * per-subproblem scaling μ_k and scaled costs;
 ///   * subproblems k <= m (prefixes that exclude the winner): solved once,
 ///     their scaled values are probe-independent and the winner is never in
 ///     them;
 ///   * subproblems k > m: one Algorithm 1 Pareto frontier over the OTHER
-///     k-1 items. Without-winner subsets never fold the winner's
-///     contribution, so the frontier's floating-point values are exactly
-///     the ones a full re-solve computes; a probe then only has to compare
-///     the cheapest without-winner cover against the cheapest
-///     "frontier state + probed contribution" cover (binary search).
+///     k-1 items. A probe compares the cheapest without-winner cover against
+///     the cheapest "frontier state + probed contribution" cover (binary
+///     search).
 ///
 /// Bit-identity contract: every probe answer equals what solve_fptas would
-/// return on an instance with the declaration written in. Comparisons whose
-/// outcome could be flipped by floating-point reassociation (the probed
-/// contribution joins the fold at slot m instead of at the end) are
-/// certified with an error band; when the certificate cannot decide a
-/// subproblem — or an exact scaled-cost tie makes membership
-/// order-dependent — only THAT subproblem is re-solved exactly with the
-/// real Algorithm 1 DP on the oracle's own item list, which reproduces the
-/// oracle's values and tie-breaking state order. The band covers the
-/// cardinality of a subset that can still decide the probe (a competitive
-/// cover holds ~5 users, not all k), and each exact re-solve is capped at a
-/// cost the certificate has already proven to bound the cover. These
-/// re-solves are the fast path's main cost, not a rare event: on the
-/// Table II shape at n = 200 and ε = 0.1, 10.9% of probes fall back and
-/// each fallback re-runs ~65 subproblem DPs: 7.1 re-solves per probe (12.8
-/// with a band sized for all k items; DESIGN.md §8). A genuine full solve
-/// remains only for probes above the build-time declaration, where the
-/// pruned tables are not conservative.
+/// return on an instance with the declaration written in. Coverage is the
+/// exact integer predicate of auction/coverage.hpp, so "state + probed
+/// contribution reaches T" is the very sum the oracle's DP forms, whatever
+/// slot it folds the winner in at, and both cover costs are exact. Only an
+/// exact scaled-cost tie between the two covers at the winning subproblem
+/// leaves membership to the oracle DP's state order; THAT subproblem is then
+/// re-solved with the real Algorithm 1 DP on the oracle's own item list. A
+/// genuine full solve remains only for probes above the build-time
+/// declaration, where the pruned tables are not conservative.
 class FptasProbeContext {
  public:
   /// Builds the reusable tables for probing `winner`'s declarations in
@@ -94,36 +94,35 @@ class FptasProbeContext {
   /// requirement at the declared contribution; lower declarations only
   /// shrink that set). `counters` (borrowed, may be null) accumulates the
   /// build's rounds and deadline polls plus per-probe dp_reuse_hits /
-  /// dp_reuse_fallbacks and per-subproblem dp_reuse_exact_solves; the
-  /// caller counts probes. Polls `deadline` once per subproblem, like
-  /// solve_fptas.
+  /// dp_reuse_fallbacks and per-tie dp_reuse_exact_solves; the caller counts
+  /// probes. Polls `deadline` once per subproblem, like solve_fptas.
   FptasProbeContext(const SingleTaskInstance& instance, UserId winner, double epsilon,
                     common::Deadline deadline = {}, obs::PhaseCounters* counters = nullptr,
                     DpKernel kernel = DpKernel::kColumns);
 
   /// Column-routed overload: the build reads costs and contributions from
   /// `columns` (a snapshot of `instance`, borrowed only for the build)
-  /// instead of the nested bids — same doubles, bit-identical tables.
+  /// instead of the nested bids — same values, identical tables.
   FptasProbeContext(const SingleTaskInstance& instance, const BidColumns& columns,
                     UserId winner, double epsilon, common::Deadline deadline = {},
                     obs::PhaseCounters* counters = nullptr,
                     DpKernel kernel = DpKernel::kColumns);
 
   /// Whether the winner is selected when declaring contribution
-  /// `declared_q`. Applies the same q → PoS → q round trip as the
-  /// copying/scratch probe paths, so the answer is bit-identical to
-  /// solve_fptas on the modified instance — purely from the reused
-  /// frontiers (dp_reuse_hits) or, when the reassociation certificate
-  /// cannot decide a subproblem, with that subproblem re-solved exactly
-  /// (dp_reuse_fallbacks). `declared_q` must be in [0, the declaration the
-  /// context was built with]; anything larger is answered by a genuine
-  /// full solve (also counted as a fallback).
+  /// `declared_q`. Applies the same q → PoS → q round trip as the scratch
+  /// probe path, so the answer is bit-identical to solve_fptas on the
+  /// modified instance — purely from the reused frontiers (dp_reuse_hits) or,
+  /// on a tied cover, with that subproblem re-solved exactly
+  /// (dp_reuse_fallbacks). A declaration that quantizes above the one the
+  /// context was built with is answered by a genuine full solve (also
+  /// counted as a fallback).
   bool wins(double declared_q);
 
  private:
   /// Per-subproblem reusable state; entry k of subproblems_ (1-based like
-  /// the FPTAS scan) is one of three shapes: filtered out / constant
-  /// (k <= m, winner not in the prefix) / frontier-backed (k > m).
+  /// the FPTAS scan) is one of three shapes: filtered out (the prefix cannot
+  /// cover even at the declaration) / constant (k <= m, winner not in the
+  /// prefix) / frontier-backed (k > m).
   struct Subproblem {
     double mu = 0.0;
     // k <= m: probe-independent result, solved at build time.
@@ -134,39 +133,18 @@ class FptasProbeContext {
     std::int64_t scaled_cost_winner = 0;
     /// Min scaled cost of a without-winner cover; kNoCover when none.
     std::int64_t cover_without_winner = 0;
-    /// Reassociation error band for "state contribution + probed q"
-    /// feasibility tests (the only reassociated comparison of a probe),
-    /// sized by the most items a probe-deciding subset can hold.
-    double band = 0.0;
+    /// Without-winner Pareto states that can cover with some legal probe.
     std::vector<FrontierEntry> frontier;
   };
 
-  /// Inclusive bounds on the oracle's minimum with-winner scaled cost for
-  /// one subproblem at one probed contribution; kNoCover = no cover.
-  struct CoverBounds {
-    std::int64_t lo = 0;
-    std::int64_t hi = 0;
-  };
-
-  /// Oracle-exact resolution of one subproblem at one probed contribution:
-  /// re-runs the real Algorithm 1 DP on the subproblem's own item list (the
-  /// probed winner included, in the oracle's order), so the returned cover
-  /// cost, scaled value, and membership — INCLUDING the DP's tie-breaking
-  /// state order — are bit-identical to the full solve's. O(one DP) instead
-  /// of the full solve's one-DP-per-subproblem; used when the certificate
-  /// cannot decide a comparison. `cost_cap` must bound the subproblem's
-  /// cover cost from above (kNoCover when nothing is known): the capped DP
-  /// keeps every state at or below it unchanged, so the result is the
-  /// uncapped one. Counts one dp_reuse_exact_solves.
-  struct ExactSubproblem {
-    bool feasible = false;
-    std::int64_t cover = 0;
-    bool winner_selected = false;
-  };
-  ExactSubproblem solve_subproblem_exact(std::size_t k, double probe_q,
-                                         std::int64_t cost_cap) const;
-
-  CoverBounds with_winner_cover_bounds(const Subproblem& sub, double probe_q) const;
+  /// Min scaled cost of a with-winner cover at `probe`; kNoCover when none.
+  std::int64_t with_winner_cover(const Subproblem& sub, coverage::Amount probe) const;
+  /// Whether the oracle's DP for subproblem k at `probe`, whose with- and
+  /// without-winner covers both cost `cover`, reconstructs the with-winner
+  /// one: re-runs the real Algorithm 1 DP on the subproblem's own item list,
+  /// so the tie-breaking state order is the full solve's. Counts one
+  /// dp_reuse_exact_solves.
+  bool winner_in_tied_cover(std::size_t k, coverage::Amount probe, std::int64_t cover) const;
   bool fallback_wins(double declared_q);
 
   SingleTaskInstance scratch_;  ///< fallback probes write the declaration here
@@ -175,18 +153,15 @@ class FptasProbeContext {
   common::Deadline deadline_;
   obs::PhaseCounters* counters_;
   DpKernel kernel_ = DpKernel::kColumns;  ///< threaded into every DP this context runs
-  double requirement_ = 0.0;
-  double declared_roundtrip_ = 0.0;  ///< build-time declaration after q→PoS→q
-
-  // is_feasible() replay state (id-order sequential sum).
-  double id_prefix_before_winner_ = 0.0;
-  std::vector<double> id_contributions_after_winner_;
+  coverage::Amount threshold_ = 0;
+  coverage::Amount declared_amount_ = 0;  ///< build-time declaration, quantized
+  coverage::Amount others_amount_ = 0;    ///< everyone else's total (is_feasible replay)
 
   // FPTAS scan replay state (sorted-order).
   std::size_t position_ = 0;  ///< winner's slot m in the (cost, id) order
   std::vector<double> sorted_costs_;  ///< costs in (cost, id) order
-  std::vector<double> sorted_contributions_;  ///< slot m unused (probe fills it)
-  double prefix_at_position_ = 0.0;  ///< sequential sum of slots [0, m)
+  std::vector<coverage::Amount> sorted_amounts_;  ///< slot m unused (probe fills it)
+  coverage::Amount prefix_at_position_ = 0;  ///< sum of slots [0, m)
   std::vector<Subproblem> subproblems_;  ///< index k in [1, n]
 };
 

@@ -5,7 +5,6 @@
 #include <numeric>
 
 #include "common/check.hpp"
-#include "common/math.hpp"
 
 namespace mcs::auction::single_task {
 
@@ -22,12 +21,13 @@ Allocation solve_min_greedy(const SingleTaskInstance& instance, const BidColumns
   if (!instance.is_feasible()) {
     return result;
   }
-  const double requirement = instance.requirement_contribution();
+  const coverage::Amount threshold = coverage::threshold(instance.requirement_contribution());
   const auto n = instance.num_users();
 
-  // The columns ARE the per-id contribution/cost rows the density sort and
-  // both scans consume; no per-call gather or q re-derivation.
+  // The columns ARE the per-id rows the density sort and both scans
+  // consume: q ranks users, its quantized amount decides coverage.
   const std::span<const double> contributions = columns.q_span();
+  const std::span<const coverage::Amount> amounts = columns.amount_span();
   const std::span<const double> costs = columns.cost_span();
 
   // Density order: contribution per unit cost, descending; ties by id.
@@ -44,75 +44,68 @@ Allocation solve_min_greedy(const SingleTaskInstance& instance, const BidColumns
     return a < b;
   });
 
-  // Greedy fill until feasible.
+  // Greedy fill until feasible. `prefix_cover` trails `covered` by the last
+  // pick (saturating sums cannot be undone by subtraction).
   std::vector<UserId> greedy;
-  double covered = 0.0;
+  coverage::Amount covered = 0;
+  coverage::Amount prefix_cover = 0;
   std::size_t last_pick_position = 0;
   for (std::size_t k = 0; k < n; ++k) {
     deadline.check("min-greedy cover scan");
     if (counters != nullptr) {
       ++counters->deadline_polls;
     }
-    if (contributions[static_cast<std::size_t>(order[k])] <= 0.0) {
+    const coverage::Amount amount = amounts[static_cast<std::size_t>(order[k])];
+    if (amount == 0) {
       continue;
     }
     if (counters != nullptr) {
       ++counters->rounds;
     }
     greedy.push_back(order[k]);
-    covered += contributions[static_cast<std::size_t>(order[k])];
+    prefix_cover = covered;
+    covered = coverage::add(covered, amount);
     last_pick_position = k;
-    if (common::approx_ge(covered, requirement)) {
+    if (covered >= threshold) {
       break;
     }
   }
-  if (!common::approx_ge(covered, requirement)) {
-    // Knife-edge instance: the total contribution equals the requirement to
-    // within rounding, so is_feasible() (an id-order sum) and the
-    // density-order accumulation above can disagree. Report infeasible
-    // rather than crash — the same guard solve_fptas applies when its DP
-    // and is_feasible() disagree. Critical-bid probes bisect onto exactly
-    // such boundaries, so this is reachable from any reward search.
-    result.feasible = false;
-    return result;
-  }
+  // The fill visits every user with a positive amount, and is_feasible()
+  // sums exactly those amounts, so the fill ends covered.
+  MCS_ENSURES(covered >= threshold, "a feasible instance must be coverable greedily");
   const double greedy_cost = instance.cost_of(greedy);
 
   // Swap variant: drop the final pick and close the residual with the single
   // cheapest user able to cover it alone.
   double swap_cost = std::numeric_limits<double>::infinity();
   std::vector<UserId> swap_set;
-  if (!greedy.empty()) {
-    std::vector<UserId> prefix(greedy.begin(), greedy.end() - 1);
-    std::vector<char> in_prefix(n, 0);
-    for (UserId user : prefix) {
-      in_prefix[static_cast<std::size_t>(user)] = 1;
+  std::vector<UserId> prefix(greedy.begin(), greedy.end() - 1);
+  std::vector<char> in_prefix(n, 0);
+  for (UserId user : prefix) {
+    in_prefix[static_cast<std::size_t>(user)] = 1;
+  }
+  UserId best_closer = -1;
+  double best_closer_cost = std::numeric_limits<double>::infinity();
+  for (std::size_t k = last_pick_position; k < n; ++k) {
+    deadline.check("min-greedy swap scan");
+    if (counters != nullptr) {
+      ++counters->deadline_polls;
     }
-    const double prefix_cover = covered - contributions[static_cast<std::size_t>(greedy.back())];
-    const double residual = requirement - prefix_cover;
-    UserId best_closer = -1;
-    double best_closer_cost = std::numeric_limits<double>::infinity();
-    for (std::size_t k = last_pick_position; k < n; ++k) {
-      deadline.check("min-greedy swap scan");
-      if (counters != nullptr) {
-        ++counters->deadline_polls;
-      }
-      const UserId user = order[k];
-      if (in_prefix[static_cast<std::size_t>(user)] != 0) {
-        continue;
-      }
-      const double cost = costs[static_cast<std::size_t>(user)];
-      if (common::approx_ge(contributions[static_cast<std::size_t>(user)], residual) &&
-          cost < best_closer_cost) {
-        best_closer = user;
-        best_closer_cost = cost;
-      }
+    const UserId user = order[k];
+    if (in_prefix[static_cast<std::size_t>(user)] != 0) {
+      continue;
     }
-    if (best_closer >= 0) {
-      prefix.push_back(best_closer);
-      swap_cost = instance.cost_of(prefix);
-      swap_set = std::move(prefix);
+    const double cost = costs[static_cast<std::size_t>(user)];
+    if (coverage::add(prefix_cover, amounts[static_cast<std::size_t>(user)]) >= threshold &&
+        cost < best_closer_cost) {
+      best_closer = user;
+      best_closer_cost = cost;
     }
+  }
+  if (best_closer >= 0) {
+    prefix.push_back(best_closer);
+    swap_cost = instance.cost_of(prefix);
+    swap_set = std::move(prefix);
   }
 
   result.feasible = true;

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <numeric>
 
+#include "auction/coverage.hpp"
 #include "common/check.hpp"
-#include "common/math.hpp"
 
 namespace mcs::auction::single_task {
 
@@ -15,21 +15,20 @@ Allocation fill_in_order(const SingleTaskInstance& instance, const std::vector<U
   if (!instance.is_feasible()) {
     return result;
   }
-  const double requirement = instance.requirement_contribution();
-  double covered = 0.0;
+  const coverage::Amount threshold = coverage::threshold(instance.requirement_contribution());
+  coverage::Amount covered = 0;
   for (UserId user : order) {
-    const double q = instance.contribution(user);
-    if (q <= 0.0) {
+    const coverage::Amount amount = coverage::quantize(instance.contribution(user));
+    if (amount == 0) {
       continue;
     }
     result.winners.push_back(user);
-    covered += q;
-    if (common::approx_ge(covered, requirement)) {
+    covered = coverage::add(covered, amount);
+    if (covered >= threshold) {
       break;
     }
   }
-  MCS_ENSURES(common::approx_ge(covered, requirement),
-              "feasible instance must be coverable in any positive order");
+  MCS_ENSURES(covered >= threshold, "feasible instance must be coverable in any positive order");
   result.feasible = true;
   std::sort(result.winners.begin(), result.winners.end());
   result.total_cost = instance.cost_of(result.winners);

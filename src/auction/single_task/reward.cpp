@@ -75,10 +75,10 @@ double critical_contribution(const SingleTaskInstance& instance, UserId winner,
   if (options.winner_rule == WinnerRule::kFptas &&
       options.probe_strategy == ProbeStrategy::kDpReuse) {
     // Fast path: one reusable probe context per winner answers the whole
-    // bisection from reused DP frontiers (falling back to full solves only
-    // when its certificate cannot decide a probe). Min-Greedy probes stay on
-    // the full-solve path: its density order depends on the probed
-    // declaration, and a full greedy pass is O(n log n) anyway.
+    // bisection from reused DP frontiers (re-solving one subproblem only on
+    // an exact cover-cost tie). Min-Greedy probes stay on the full-solve
+    // path: its density order depends on the probed declaration, and a full
+    // greedy pass is O(n log n) anyway.
     FptasProbeContext context =
         options.columns != nullptr
             ? FptasProbeContext(instance, *options.columns, winner, options.epsilon,

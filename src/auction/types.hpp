@@ -99,10 +99,12 @@ enum class CriticalBidRule {
 /// How the single-task critical-bid search answers its wins(q) probes.
 /// kDpReuse is the fast path: one without-winner knapsack frontier per
 /// (winner, FPTAS subproblem), built once per critical-bid search and
-/// combined with the probed declaration in O(log states) per bisection step;
-/// probes whose outcome could differ from a full re-solve by floating-point
-/// reassociation (detected by an interval certificate) fall back to the full
-/// solve, so the two strategies are bit-identical (asserted by
+/// combined with the probed declaration in O(log states) per bisection step.
+/// Coverage is the exact integer predicate of auction/coverage.hpp, so the
+/// combined sums are the full solve's own; only an exact scaled-cost tie
+/// between a with-winner and a without-winner cover re-solves that one
+/// subproblem, and only a probe above the declaration falls back to a full
+/// solve. The two strategies are bit-identical (asserted by
 /// tests/st_probe_equivalence_test.cpp). kFullSolve re-runs winner
 /// determination from scratch on every probe — the oracle and the benchmark
 /// baseline. Min-Greedy probes always full-solve (already cheap).
@@ -114,13 +116,14 @@ enum class ProbeStrategy {
 /// Which implementation runs the Algorithm 1 Pareto-frontier sweep (the
 /// remaining single-task hot kernel — it dominates both solve_fptas and the
 /// probe-context builds). kColumns is the memory-engineered default: the
-/// frontier lives in two contiguous (cost, contribution) arrays merged with
-/// a branch-light two-pointer pass, parent links for subset reconstruction
-/// kept in a separate side pool only when a caller actually reconstructs
-/// (frontier-only callers allocate none). kScalarOracle is the original
-/// pointer-chasing state pool retained as the differential oracle; both
-/// kernels produce bit-identical frontiers, solutions, and tie-breaks
-/// (asserted by tests/dp_kernel_equivalence_test.cpp — see DESIGN.md §8).
+/// frontier lives in two contiguous int64 (cost, quantized contribution)
+/// arrays merged with a branch-light two-pointer pass, parent links for
+/// subset reconstruction kept in a separate side pool only when a caller
+/// actually reconstructs (frontier-only callers allocate none).
+/// kScalarOracle is the original pointer-chasing state pool retained as the
+/// differential oracle; both kernels produce identical frontiers, solutions,
+/// and tie-breaks (asserted by tests/dp_kernel_equivalence_test.cpp — see
+/// DESIGN.md §8).
 enum class DpKernel {
   kColumns,
   kScalarOracle,

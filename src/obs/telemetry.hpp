@@ -103,12 +103,12 @@ struct PhaseCounters {
   /// Single-task fast-path probes answered from the per-winner reused DP
   /// frontiers (ProbeStrategy::kDpReuse) without a full re-solve.
   std::uint64_t dp_reuse_hits = 0;
-  /// Fast-path probes that needed any exact re-solve: the reuse certificate
-  /// could not rule out a floating-point-reassociation flip in a subproblem
-  /// (or an exact cost tie made the membership order-dependent).
+  /// Fast-path probes not answered from the frontiers alone: an exact
+  /// scaled-cost tie made the winner's membership order-dependent, or the
+  /// probe lay above the declaration and ran a full solve.
   std::uint64_t dp_reuse_fallbacks = 0;
-  /// Subproblem DPs the fast path re-ran exactly: one fallback probe may
-  /// re-solve many subproblems, so this counts the fallbacks' actual work.
+  /// Subproblem DPs the fast path re-ran exactly to break such a tie (at
+  /// most one per fallback probe).
   std::uint64_t dp_reuse_exact_solves = 0;
 
   PhaseCounters& operator+=(const PhaseCounters& other);

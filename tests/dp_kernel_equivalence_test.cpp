@@ -3,9 +3,9 @@
 // item lists, min_knapsack_frontier / solve_min_knapsack / solve_max_knapsack
 // must return bit-for-bit identical frontiers, subsets, costs, and
 // contributions under both kernels — the two implementations perform the
-// identical comparisons on the identical doubles, so ANY divergence is a
-// kernel bug, not tolerance noise. Carries the `perf-eq` label so the
-// sanitizer presets run it too.
+// identical comparisons on the identical integers, so ANY divergence is a
+// kernel bug. Carries the `perf-eq` label so the sanitizer presets run it
+// too.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -22,13 +22,19 @@
 namespace mcs::auction::single_task {
 namespace {
 
-constexpr double kInf = std::numeric_limits<double>::infinity();
+using coverage::Amount;
+
+/// A contribution (or requirement) in the DP's fixed-point units.
+Amount units(double q) { return coverage::quantize(q); }
+
+/// A declared PoS of 1.
+constexpr Amount kCertain = coverage::kSaturated;
 
 /// The cost-capped min-knapsack contract, under one kernel: a cap at or
 /// above the uncapped cover returns the uncapped solution bit for bit
 /// (items, total cost, contribution, so tie-breaks too), and a cap below it
 /// returns nullopt. An infeasible list stays infeasible under any cap.
-void expect_capped_solve_matches(const std::vector<KnapsackItem>& items, double requirement,
+void expect_capped_solve_matches(const std::vector<KnapsackItem>& items, Amount requirement,
                                  DpKernel kernel, const std::string& label) {
   const auto uncapped = solve_min_knapsack(items, requirement, {}, kernel);
   if (!uncapped.has_value()) {
@@ -61,7 +67,7 @@ void expect_capped_solve_matches(const std::vector<KnapsackItem>& items, double 
 /// list: the frontier, the min-knapsack solution (uncapped and capped), and
 /// (when the items fit the budgeted form's preconditions) the max-knapsack
 /// solution.
-void expect_kernels_agree(const std::vector<KnapsackItem>& items, double requirement,
+void expect_kernels_agree(const std::vector<KnapsackItem>& items, Amount requirement,
                           std::int64_t budget, const std::string& label) {
   const auto frontier_columns =
       min_knapsack_frontier(items, requirement, {}, DpKernel::kColumns);
@@ -104,11 +110,11 @@ TEST(DpKernelEquivalence, RandomizedItemListsMatchBitForBit) {
       // Zero costs and duplicate costs on purpose: cost ties exercise the
       // old-first merge rule, the exact spot where a kernel could diverge.
       item.scaled_cost = rng.uniform_int(0, 40);
-      // ~1 in 12 items declares PoS 1 (an infinite contribution).
-      item.contribution = rng.uniform_int(0, 11) == 0 ? kInf : rng.uniform(0.0, 3.0);
+      // ~1 in 12 items declares PoS 1 (a saturated contribution).
+      item.contribution = rng.uniform_int(0, 11) == 0 ? kCertain : units(rng.uniform(0.0, 3.0));
       items.push_back(item);
     }
-    const double requirement = rng.uniform(0.0, 6.0);
+    const Amount requirement = units(rng.uniform(0.0, 6.0));
     const std::int64_t budget = rng.uniform_int(0, 80);
     expect_kernels_agree(items, requirement, budget, "seed " + std::to_string(seed));
   }
@@ -119,52 +125,54 @@ TEST(DpKernelEquivalence, AdversarialAllZeroCosts) {
   // decided purely by the dominance prune's `> best` comparisons.
   std::vector<KnapsackItem> items;
   for (int k = 0; k < 8; ++k) {
-    items.push_back({0.25 * k, 0});
+    items.push_back({units(0.25 * k), 0});
   }
-  expect_kernels_agree(items, 0.9, 0, "all-zero costs");
+  expect_kernels_agree(items, units(0.9), 0, "all-zero costs");
 }
 
-TEST(DpKernelEquivalence, AdversarialInfiniteContributions) {
-  // PoS-1 declarations: +inf contributions saturate the min(cap, ...) fold
-  // (inf stays inf under the cap only when the cap itself is inf; a finite
+TEST(DpKernelEquivalence, AdversarialSaturatedContributions) {
+  // PoS-1 declarations: saturated contributions hit the min(cap, ...) fold
+  // (they stay saturated only under the budgeted form's saturated cap; a
   // requirement caps them to the requirement). Mixing both exercises the
   // capped and uncapped folds.
-  std::vector<KnapsackItem> items = {{kInf, 5}, {1.0, 3}, {kInf, 5}, {0.5, 0}};
-  expect_kernels_agree(items, 2.0, 10, "infinite contributions");
-  expect_kernels_agree(items, 0.0, 13, "infinite contributions, zero requirement");
+  std::vector<KnapsackItem> items = {
+      {kCertain, 5}, {units(1.0), 3}, {kCertain, 5}, {units(0.5), 0}};
+  expect_kernels_agree(items, units(2.0), 10, "saturated contributions");
+  expect_kernels_agree(items, 0, 13, "saturated contributions, zero requirement");
 }
 
 TEST(DpKernelEquivalence, AdversarialCostTiesAndDuplicates) {
   // Many identical (cost, contribution) pairs: every merge step hits the
   // old-first `<=` tie rule and most extensions are dominance-pruned.
-  std::vector<KnapsackItem> items(10, KnapsackItem{1.0, 7});
-  items.push_back({2.0, 7});
-  expect_kernels_agree(items, 5.0, 21, "duplicate items");
+  std::vector<KnapsackItem> items(10, KnapsackItem{units(1.0), 7});
+  items.push_back({units(2.0), 7});
+  expect_kernels_agree(items, units(5.0), 21, "duplicate items");
 }
 
 TEST(DpKernelEquivalence, EmptyItemListMatches) {
-  expect_kernels_agree({}, 1.0, 0, "empty items");
-  expect_kernels_agree({}, 0.0, 0, "empty items, zero requirement");
+  expect_kernels_agree({}, units(1.0), 0, "empty items");
+  expect_kernels_agree({}, 0, 0, "empty items, zero requirement");
 }
 
 TEST(DpKernelEquivalence, ExpiredDeadlineThrowsInBothKernels) {
   // An already-expired budget must surface as DeadlineExceeded from the
   // first sweep iteration of EITHER kernel — the degraded ladder upstream
   // depends on the throw, so the columns kernel may not outrun the poll.
-  const std::vector<KnapsackItem> items = {{1.0, 1}, {2.0, 2}};
+  const std::vector<KnapsackItem> items = {{units(1.0), 1}, {units(2.0), 2}};
+  const Amount requirement = units(2.0);
   const auto expired = common::Deadline::after(-1.0);
-  EXPECT_THROW(min_knapsack_frontier(items, 2.0, expired, DpKernel::kColumns),
+  EXPECT_THROW(min_knapsack_frontier(items, requirement, expired, DpKernel::kColumns),
                common::DeadlineExceeded);
-  EXPECT_THROW(min_knapsack_frontier(items, 2.0, expired, DpKernel::kScalarOracle),
+  EXPECT_THROW(min_knapsack_frontier(items, requirement, expired, DpKernel::kScalarOracle),
                common::DeadlineExceeded);
-  EXPECT_THROW(solve_min_knapsack(items, 2.0, expired, DpKernel::kColumns),
+  EXPECT_THROW(solve_min_knapsack(items, requirement, expired, DpKernel::kColumns),
                common::DeadlineExceeded);
-  EXPECT_THROW(solve_min_knapsack(items, 2.0, expired, DpKernel::kScalarOracle),
+  EXPECT_THROW(solve_min_knapsack(items, requirement, expired, DpKernel::kScalarOracle),
                common::DeadlineExceeded);
   // No items -> no sweep iterations -> no poll: both kernels return the root
   // frontier instead of throwing, exactly like the oracle always has.
-  EXPECT_EQ(min_knapsack_frontier({}, 1.0, expired, DpKernel::kColumns).size(), 1u);
-  EXPECT_EQ(min_knapsack_frontier({}, 1.0, expired, DpKernel::kScalarOracle).size(), 1u);
+  EXPECT_EQ(min_knapsack_frontier({}, requirement, expired, DpKernel::kColumns).size(), 1u);
+  EXPECT_EQ(min_knapsack_frontier({}, requirement, expired, DpKernel::kScalarOracle).size(), 1u);
 }
 
 TEST(DpKernelEquivalence, SolveFptasMatchesAcrossKernelsOnBenchShapes) {

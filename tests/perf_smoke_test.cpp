@@ -198,17 +198,16 @@ TEST(PerfSmoke, SingleTaskFastProbesAgreeWithOracleAcrossTinyScalingSweep) {
 
 TEST(PerfSmoke, SingleTaskFastPathWorkPerProbeStaysBounded) {
   // Deterministic work gate for the critical-bid fast path on the
-  // benchmark's own shape (n = 200, default config, fast path only). A
-  // probe the reuse certificate cannot decide re-solves subproblem DPs
-  // exactly; those re-solves are the fast path's dominant cost, so their
-  // count per probe is the regression signal a timer on a shared host
-  // would miss. Seeds 1000-1015 average 7.1 exact solves and 0.109
-  // fallbacks per probe with the cardinality-bounded band; a band sized for
-  // all k items of a subproblem gives 12.8 and 0.189. On the two seeds
-  // below the values are 7.6 / 0.115 against 13.5 / 0.195, so the bounds
-  // sit between the two with headroom on both sides.
-  constexpr double kMaxExactSolvesPerProbe = 10.5;
-  constexpr double kMaxFallbacksPerProbe = 0.15;
+  // benchmark's own shape (n = 200, default config, fast path only). With
+  // exact integer coverage sums a probe re-solves a subproblem DP only on an
+  // exact scaled-cost tie between its with- and without-winner covers (at
+  // most one per probe), and falls back to a full solve only above the
+  // declaration, so both counts per probe are the regression signal a timer
+  // on a shared host would miss. Seeds 1000-1015 make 0 exact solves and 0
+  // fallbacks in 3250 probes; the bounds sit just above 0 on the two seeds
+  // below (at most 3 of their 400 probes).
+  constexpr double kMaxExactSolvesPerProbe = 0.01;
+  constexpr double kMaxFallbacksPerProbe = 0.01;
   const auction::MechanismConfig config;
   obs::PhaseCounters rewards;
   for (const std::uint64_t seed : {1000ull, 1001ull}) {
@@ -228,6 +227,7 @@ TEST(PerfSmoke, SingleTaskFastPathWorkPerProbeStaysBounded) {
             << " fallbacks_per_probe=" << fallbacks_per_probe << "\n";
   EXPECT_LT(exact_per_probe, kMaxExactSolvesPerProbe);
   EXPECT_LT(fallbacks_per_probe, kMaxFallbacksPerProbe);
+  EXPECT_LE(rewards.dp_reuse_exact_solves, rewards.dp_reuse_fallbacks);
 }
 
 TEST(PerfSmoke, ColumnsDpKernelAgreesWithScalarOracleEndToEnd) {

@@ -12,38 +12,41 @@
 namespace mcs::auction::single_task {
 namespace {
 
+/// A contribution in the DP's fixed-point units.
+coverage::Amount units(double q) { return coverage::quantize(q); }
+
 TEST(MaxKnapsack, EmptySetForZeroBudget) {
-  const std::vector<KnapsackItem> items{{1.0, 3}};
+  const std::vector<KnapsackItem> items{{units(1.0), 3}};
   const auto solution = solve_max_knapsack(items, 0);
   EXPECT_TRUE(solution.items.empty());
-  EXPECT_DOUBLE_EQ(solution.total_contribution, 0.0);
+  EXPECT_EQ(solution.total_contribution, 0);
 }
 
 TEST(MaxKnapsack, PicksTheBestAffordableItem) {
-  const std::vector<KnapsackItem> items{{2.0, 6}, {1.5, 3}, {1.0, 3}};
+  const std::vector<KnapsackItem> items{{units(2.0), 6}, {units(1.5), 3}, {units(1.0), 3}};
   const auto solution = solve_max_knapsack(items, 5);
   EXPECT_EQ(solution.items, (std::vector<std::size_t>{1}));  // the 1.5 fits, 2.0 doesn't
 }
 
 TEST(MaxKnapsack, CombinesItemsUnderTheBudget) {
-  const std::vector<KnapsackItem> items{{2.0, 6}, {1.5, 3}, {1.0, 3}};
+  const std::vector<KnapsackItem> items{{units(2.0), 6}, {units(1.5), 3}, {units(1.0), 3}};
   const auto solution = solve_max_knapsack(items, 6);
   // {1, 2}: contribution 2.5 at cost 6 beats {0}: 2.0 at cost 6.
   EXPECT_EQ(solution.items, (std::vector<std::size_t>{1, 2}));
-  EXPECT_DOUBLE_EQ(solution.total_contribution, 2.5);
+  EXPECT_EQ(solution.total_contribution, units(2.5));
   EXPECT_EQ(solution.total_scaled_cost, 6);
 }
 
 TEST(MaxKnapsack, FreeItemsAlwaysIncluded) {
-  const std::vector<KnapsackItem> items{{0.5, 0}, {1.0, 10}};
+  const std::vector<KnapsackItem> items{{units(0.5), 0}, {units(1.0), 10}};
   const auto solution = solve_max_knapsack(items, 3);
   EXPECT_EQ(solution.items, (std::vector<std::size_t>{0}));
 }
 
 TEST(MaxKnapsack, RejectsNegativeInputs) {
-  EXPECT_THROW(solve_max_knapsack(std::vector<KnapsackItem>{{1.0, 1}}, -1),
+  EXPECT_THROW(solve_max_knapsack(std::vector<KnapsackItem>{{units(1.0), 1}}, -1),
                common::PreconditionError);
-  EXPECT_THROW(solve_max_knapsack(std::vector<KnapsackItem>{{-1.0, 1}}, 1),
+  EXPECT_THROW(solve_max_knapsack(std::vector<KnapsackItem>{{-1, 1}}, 1),
                common::PreconditionError);
 }
 
@@ -56,19 +59,19 @@ TEST_P(MaxKnapsackProperty, MatchesBruteForce) {
   items.reserve(n);
   std::int64_t total = 0;
   for (std::size_t k = 0; k < n; ++k) {
-    items.push_back({rng.uniform(0.0, 1.0), rng.uniform_int(0, 30)});
+    items.push_back({units(rng.uniform(0.0, 1.0)), rng.uniform_int(0, 30)});
     total += items.back().scaled_cost;
   }
   const std::int64_t budget = rng.uniform_int(0, total);
 
-  double best = 0.0;
+  coverage::Amount best = 0;
   for (std::uint32_t mask = 0; mask < (1u << n); ++mask) {
     std::int64_t cost = 0;
-    double contribution = 0.0;
+    coverage::Amount contribution = 0;
     for (std::size_t k = 0; k < n; ++k) {
       if (mask & (1u << k)) {
         cost += items[k].scaled_cost;
-        contribution += items[k].contribution;
+        contribution = coverage::add(contribution, items[k].contribution);
       }
     }
     if (cost <= budget) {
@@ -76,7 +79,7 @@ TEST_P(MaxKnapsackProperty, MatchesBruteForce) {
     }
   }
   const auto solution = solve_max_knapsack(items, budget);
-  EXPECT_NEAR(solution.total_contribution, best, 1e-9);
+  EXPECT_EQ(solution.total_contribution, best);
   EXPECT_LE(solution.total_scaled_cost, budget);
 }
 

@@ -10,6 +10,7 @@
 #include <optional>
 #include <vector>
 
+#include "auction/coverage.hpp"
 #include "auction/instance.hpp"
 #include "auction/multi_task/greedy.hpp"
 #include "auction/types.hpp"
@@ -65,23 +66,27 @@ inline auction::MultiTaskInstance random_multi_task(std::size_t n, std::size_t t
 }
 
 /// Exhaustive minimum-cost covering subset of a single-task instance, or
-/// nullopt when infeasible. O(2^n); keep n <= ~16.
+/// nullopt when infeasible, under the solvers' exact coverage predicate
+/// (auction/coverage.hpp). O(2^n); keep n <= ~16.
 inline std::optional<std::vector<auction::UserId>> brute_force(
     const auction::SingleTaskInstance& instance) {
+  namespace coverage = auction::coverage;
   const auto n = instance.num_users();
-  const double requirement = instance.requirement_contribution();
+  const coverage::Amount threshold = coverage::threshold(instance.requirement_contribution());
   double best_cost = std::numeric_limits<double>::infinity();
   std::optional<std::vector<auction::UserId>> best;
   for (std::uint32_t mask = 0; mask < (1u << n); ++mask) {
     double cost = 0.0;
-    double contribution = 0.0;
+    coverage::Amount contribution = 0;
     for (std::size_t k = 0; k < n; ++k) {
       if (mask & (1u << k)) {
         cost += instance.bids[k].cost;
-        contribution += instance.contribution(static_cast<auction::UserId>(k));
+        contribution = coverage::add(
+            contribution,
+            coverage::quantize(instance.contribution(static_cast<auction::UserId>(k))));
       }
     }
-    if (common::approx_ge(contribution, requirement) && cost < best_cost) {
+    if (contribution >= threshold && cost < best_cost) {
       best_cost = cost;
       std::vector<auction::UserId> set;
       for (std::size_t k = 0; k < n; ++k) {
