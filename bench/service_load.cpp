@@ -91,8 +91,8 @@ Options parse_options(int argc, char** argv) {
 /// One campaign round, residue-pure mod `groups`: task j in cell j, each
 /// user's tasks all ≡ her group (mod groups). Requirements and PoS are tuned
 /// so a round stays feasible with a winner set small enough that the reward
-/// phase — winners × one without-i greedy each — dominates, which is the
-/// regime sharding accelerates.
+/// phase — winners × one (resumed) without-i greedy each — dominates, which
+/// is the regime sharding accelerates.
 service::GeoRound make_round(const Options& options, std::size_t groups, std::uint64_t seed) {
   service::GeoRound round;
   round.instance.requirement_pos.assign(options.tasks, 0.35);

@@ -17,13 +17,15 @@ MechanismOutcome run_on_view(const MultiTaskView& view, const auction::Mechanism
   const bool telemetry = obs::enabled();
   MechanismOutcome outcome;
   outcome.telemetry.enabled = telemetry;
-  // One CSR view serves winner determination AND every critical-bid probe
-  // of every winner — the probes below only layer overlays on top of it.
-  const auto greedy = solve_greedy(
-      view, ViewOverlay::none(),
-      GreedyOptions{.deadline = deadline,
-                    .keep_partial = config.multi_task.partial_coverage,
-                    .counters = telemetry ? &outcome.telemetry.winner_determination : nullptr});
+  // One CSR view and one recorded main run serve winner determination AND
+  // every critical bid: each winner's without-i run resumes from the main
+  // run at her round, and her probes layer overlays on the view.
+  const auto main = record_greedy(
+      view, GreedyOptions{.deadline = deadline,
+                          .keep_partial = config.multi_task.partial_coverage,
+                          .counters = telemetry ? &outcome.telemetry.winner_determination
+                                                : nullptr});
+  const GreedyResult& greedy = main.result;
   if (telemetry) {
     outcome.telemetry.winner_determination_seconds = wd_timer.seconds();
   }
@@ -56,7 +58,7 @@ MechanismOutcome run_on_view(const MultiTaskView& view, const auction::Mechanism
         [&](std::size_t index) {
           RewardOptions slot_options = reward_options;
           slot_options.counters = &per_winner[index];
-          return compute_reward(view, winners[index], slot_options);
+          return compute_reward(view, main, winners[index], slot_options);
         },
         config.reward_worker_budget());
     for (const obs::PhaseCounters& block : per_winner) {
@@ -66,7 +68,9 @@ MechanismOutcome run_on_view(const MultiTaskView& view, const auction::Mechanism
   } else {
     outcome.rewards = common::parallel_map<WinnerReward>(
         winners.size(),
-        [&](std::size_t index) { return compute_reward(view, winners[index], reward_options); },
+        [&](std::size_t index) {
+          return compute_reward(view, main, winners[index], reward_options);
+        },
         config.reward_worker_budget());
   }
   return outcome;

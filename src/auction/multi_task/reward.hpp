@@ -23,19 +23,25 @@
 // contribution is 0 under both rules.
 //
 // Probe cost: naively every rule re-runs the greedy cover dozens of times
-// per winner. The default path instead solves ONE recorded without-i run
-// per winner against the shared MultiTaskView (exclusion overlay, no O(n·t)
-// instance copy) and answers each bisection probe by REPLAYING that log:
-// the with-i run tracks the without-i run round for round until i first
-// tops the argmax, so "does i win at declaration q" reduces to comparing
-// i's ratio against each recorded round's winner at that round's residuals
-// — O(rounds · |S_i|) per probe, bit-identical to a full re-solve (see
-// DESIGN.md §8). The copied-instance full-re-solve probes survive only as
-// the differential oracle reference::critical_contribution (src/reference/),
-// asserted bit-identical by tests/mt_lazy_equivalence_test.cpp.
+// per winner. Instead, every critical bid starts from ONE recorded main run
+// (greedy.hpp's record_greedy), shared read-only by all winners of an
+// auction. Winner i's without-i run is the main run's steps up to her round
+// r_i, plus a suffix resumed from the main run's heap at r_i; a loser's
+// without-i run is the main run itself. The binary-search rule answers each
+// bisection probe by REPLAYING that run: the with-i run tracks the without-i
+// run round for round until i first tops the argmax, so "does i win at
+// declaration q" reduces to comparing i's ratio against each recorded
+// round's winner at that round's residuals — O(rounds · |S_i|) per probe,
+// bit-identical to a full re-solve. The replay stops reading at the first
+// round in which i's tasks are all covered, so the resumed run stops there
+// too, with its feasibility certified from column totals (DESIGN.md §8).
+// The copied-instance full-re-solve probes survive only as the differential
+// oracle reference::critical_contribution (src/reference/), asserted
+// bit-identical by tests/mt_lazy_equivalence_test.cpp.
 #pragma once
 
 #include "auction/instance.hpp"
+#include "auction/multi_task/greedy.hpp"
 #include "auction/multi_task/view.hpp"
 #include "common/deadline.hpp"
 #include "obs/telemetry.hpp"
@@ -51,28 +57,38 @@ struct RewardOptions {
   CriticalBidRule rule = CriticalBidRule::kBinarySearch;
   int binary_search_iterations = 48;  ///< ~1e-14 relative precision on q̄
   /// Cooperative wall-clock budget; polled once per bisection step and
-  /// threaded into the greedy re-runs.
+  /// threaded into the greedy runs.
   common::Deadline deadline = {};
   /// When non-null, accumulates probe / bisection / deadline-poll counts
-  /// (and the probe solves' greedy rounds). The caller owns the block; under
-  /// parallel rewards each worker slot must get its own (the mechanism
-  /// facade merges them in index order).
+  /// and the greedy rounds and heap re-evaluations of the without-i run
+  /// (and of the main run, when an overload records it). The caller owns
+  /// the block; under parallel rewards each worker slot must get its own
+  /// (the mechanism facade merges them in index order).
   obs::PhaseCounters* counters = nullptr;
 };
 
-/// Critical contribution q̄_i of `winner` under the selected rule, against a
-/// prebuilt view — the path the mechanism uses so n winners share one CSR
-/// build. For kBinarySearch the caller must pass an actual winner (the
-/// search brackets her truthful declaration); kPaperIterationMin accepts any
-/// user.
-double critical_contribution(const MultiTaskView& view, UserId winner,
+/// Critical contribution q̄_i of `user` under the selected rule, given the
+/// recorded main run of the same view — the path the mechanism uses, so all
+/// winners share one main run and one CSR build. `main` must have run to its
+/// end (a stalled main run must keep its steps: record it with
+/// keep_partial). For kBinarySearch the caller must pass an actual winner
+/// (the search brackets her truthful declaration); kPaperIterationMin
+/// accepts any user.
+double critical_contribution(const MultiTaskView& view, const RecordedRun& main, UserId user,
+                             const RewardOptions& options = {});
+
+/// Records the main run first, then takes the path above.
+double critical_contribution(const MultiTaskView& view, UserId user,
                              const RewardOptions& options = {});
 
 /// MultiTaskView::from_instance (which validates) plus the view overload.
-double critical_contribution(const MultiTaskInstance& instance, UserId winner,
+double critical_contribution(const MultiTaskInstance& instance, UserId user,
                              const RewardOptions& options = {});
 
-/// Full reward for one winner; the instance overload builds the view first.
+/// Full reward for one winner, from the critical contribution overloads of
+/// the same shapes.
+WinnerReward compute_reward(const MultiTaskView& view, const RecordedRun& main, UserId winner,
+                            const RewardOptions& options);
 WinnerReward compute_reward(const MultiTaskView& view, UserId winner,
                             const RewardOptions& options);
 WinnerReward compute_reward(const MultiTaskInstance& instance, UserId winner,

@@ -55,12 +55,6 @@ MultiTaskView MultiTaskView::from_instance(const MultiTaskInstance& instance) {
   return view;
 }
 
-ViewOverlay ViewOverlay::without(UserId user) {
-  ViewOverlay overlay;
-  overlay.excluded_user = user;
-  return overlay;
-}
-
 ViewOverlay ViewOverlay::with_declared_total_contribution(const MultiTaskView& view, UserId user,
                                                           double declared_total_q) {
   MCS_EXPECTS(user >= 0 && static_cast<std::size_t>(user) < view.num_users(),

@@ -8,15 +8,15 @@
 // number a greedy run reads from the view is bit-identical to what the
 // nested-layout run computes on the fly.
 //
-// ViewOverlay answers the reward scheme's two probe shapes — "without user
-// i" and "user i declares total contribution x" — without the O(n·t)
-// instance copy (and its ~2n vector allocations) that without_user /
-// with_declared_total_contribution pay per probe. An overlay is O(1) to
-// build for exclusion and O(|S_i|) for an override, and a greedy run reads
-// through it with two branchless id compares. The override replicates the
-// copied path's q → PoS → q round trip exactly, so masked re-solves stay
-// bit-identical to re-solves on a materialized copy (asserted by
-// tests/mt_lazy_equivalence_test.cpp).
+// ViewOverlay answers the reward scheme's probe shape "user i declares total
+// contribution x" without the O(n·t) instance copy (and its ~2n vector
+// allocations) that with_declared_total_contribution pays per probe. An
+// overlay is O(|S_i|) to build, and a greedy run reads through it with one
+// id compare. The override replicates the copied path's q → PoS → q round
+// trip exactly, so masked re-solves stay bit-identical to re-solves on a
+// materialized copy (asserted by tests/mt_lazy_equivalence_test.cpp). The
+// other probe shape, "without user i", needs no overlay: it resumes from the
+// recorded main run (greedy.hpp).
 #pragma once
 
 #include <span>
@@ -81,17 +81,13 @@ struct MultiTaskView {
   static MultiTaskView from_instance(const MultiTaskInstance& instance);
 };
 
-/// A masked / overridden reading of a MultiTaskView. At most one user is
-/// excluded and at most one user's contribution vector is replaced; that is
-/// all the critical-bid probes ever need.
+/// An overridden reading of a MultiTaskView: at most one user's contribution
+/// vector is replaced; that is all the critical-bid probes ever need.
 struct ViewOverlay {
-  UserId excluded_user = kNoUser;
   UserId overridden_user = kNoUser;
   /// Replacement contributions for overridden_user, aligned with her CSR
   /// slice; empty unless overridden_user is set.
   std::vector<double> overridden_contributions;
-
-  bool excludes(UserId user) const { return user == excluded_user; }
 
   /// The user's contribution array under this overlay.
   std::span<const double> contributions_of(const MultiTaskView& view, UserId user) const {
@@ -102,7 +98,6 @@ struct ViewOverlay {
   }
 
   static ViewOverlay none() { return {}; }
-  static ViewOverlay without(UserId user);
   /// Mirrors MultiTaskInstance::with_declared_total_contribution bit for bit,
   /// including the contribution → PoS → contribution round trip the copied
   /// path performs (scaling happens in contribution space, storage in PoS

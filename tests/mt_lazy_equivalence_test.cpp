@@ -1,22 +1,28 @@
 // The asserted invariant behind the lazy-greedy hot path: CELF-style lazy
-// winner determination, the CSR view, and the exclusion/override overlays
-// must be BIT-identical — same winners, same steps, same tie-breaks, exact
-// doubles — to the paper-literal full rescan on materialized instance copies
-// (the independent oracle in src/reference/). Several hundred seeded random
+// winner determination, the CSR view, the override overlay and the resumed
+// without-user runs must be BIT-identical — same winners, same steps, same
+// tie-breaks, exact doubles — to the paper-literal full rescan on
+// materialized instance copies (the independent oracle in src/reference/). Several hundred seeded random
 // instances, deliberately including tie-heavy (quantized costs and PoS so
 // many users share exact ratios) and degenerate zero-contribution
 // populations, are checked across every layer: solve_greedy vs
-// reference::solve_greedy_scan, masked re-solves vs without_user /
+// reference::solve_greedy_scan, without-user runs resumed from a recorded
+// main run vs without_user copies, masked re-solves vs
 // with_declared_total_contribution copies, both critical-bid rules, and the
 // end-to-end mechanism.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdlib>
+#include <optional>
 #include <vector>
 
 #include "auction/multi_task/greedy.hpp"
 #include "auction/multi_task/mechanism.hpp"
 #include "auction/multi_task/reward.hpp"
 #include "auction/multi_task/view.hpp"
+#include "common/check.hpp"
 #include "common/rng.hpp"
 #include "reference/multi_task.hpp"
 #include "test_util.hpp"
@@ -72,6 +78,67 @@ MultiTaskInstance zero_contribution_instance(std::uint64_t seed) {
   return instance;
 }
 
+/// Knife-edge population: task 1's column sums to its requirement Q_1 to
+/// within a few ulps, on either side, or falls short by a sliver around the
+/// residual floor — inside the margin of the column-total certificate, so an
+/// early-stopped without-i run is not certified and must run on to decide
+/// its own feasibility. Users a and b bid on task 1 only; an optional
+/// sliver user adds a contribution near the margin or the floor to task 1
+/// and bids on task 0 too; the rest bid on task 0, some duplicated so that
+/// ratios tie exactly where the main run picks them.
+MultiTaskInstance knife_edge_instance(std::uint64_t seed) {
+  common::Rng rng(seed);
+  MultiTaskInstance instance;
+  const double t1 = rng.uniform(0.4, 0.8);
+  instance.requirement_pos = {rng.uniform(0.3, 0.6), t1};
+  const double costs[] = {1.0, 2.0, 3.0};
+  const auto cost = [&] { return costs[static_cast<std::size_t>(rng.uniform_int(0, 2))]; };
+  // (1 − p_a)(1 − p_b) = 1 − t1 makes q_a + q_b = Q_1 in exact arithmetic;
+  // a shortfall and a nudge of a few ulps place the computed sum on either
+  // side of Q_1 and of the residual floor.
+  const double p_a = rng.uniform(0.1, t1 - 0.1);
+  const double shortfalls[] = {0.0, 0.0, 5e-13, 3e-12};
+  const double q_b = common::contribution_from_pos(t1) - common::contribution_from_pos(p_a) -
+                     shortfalls[static_cast<std::size_t>(rng.uniform_int(0, 3))];
+  double p_b = -std::expm1(-q_b);
+  const auto nudge = rng.uniform_int(-4, 4);
+  for (std::int64_t k = 0; k < std::abs(nudge); ++k) {
+    p_b = std::nextafter(p_b, nudge > 0 ? 1.0 : 0.0);
+  }
+  instance.users.push_back({{1}, {p_a}, cost()});
+  instance.users.push_back({{1}, {p_b}, cost()});
+  const double slivers[] = {0.0, 1e-15, 4e-15, 1e-13, 4e-12};
+  const double sliver = slivers[static_cast<std::size_t>(rng.uniform_int(0, 4))];
+  if (sliver > 0.0) {
+    instance.users.push_back({{0, 1}, {rng.uniform(0.1, 0.5), -std::expm1(-sliver)}, cost()});
+  }
+  const auto others = rng.uniform_int(2, 6);
+  for (std::int64_t k = 0; k < others; ++k) {
+    const MultiTaskUserBid bid{{0}, {rng.uniform(0.1, 0.5)}, cost()};
+    instance.users.push_back(bid);
+    if (rng.uniform(0.0, 1.0) < 0.3) {
+      instance.users.push_back(bid);
+    }
+  }
+  // Vary which ids a and b get, so tie-breaks meet them from both sides.
+  const auto shift = rng.uniform_int(0, static_cast<std::int64_t>(instance.users.size()) - 1);
+  std::rotate(instance.users.begin(), instance.users.begin() + shift, instance.users.end());
+  return instance;
+}
+
+/// Every user followed by an exact copy: whenever the main run picks a
+/// user, her copy ties her ratio in that round, so the without-user run
+/// resumed there picks the copy.
+MultiTaskInstance duplicated(const MultiTaskInstance& instance) {
+  MultiTaskInstance copy;
+  copy.requirement_pos = instance.requirement_pos;
+  for (const auto& bid : instance.users) {
+    copy.users.push_back(bid);
+    copy.users.push_back(bid);
+  }
+  return copy;
+}
+
 /// The three instance families each seed exercises.
 std::vector<MultiTaskInstance> instances_for(std::uint64_t seed) {
   common::Rng rng(seed ^ 0x5eed);
@@ -93,19 +160,55 @@ TEST_P(LazyEquivalence, LazyMatchesReferenceScan) {
   }
 }
 
-// Masked exclusion (lazy, on the shared view) vs a materialized without_user
-// copy (reference scan): crossing both axes in one comparison checks that
-// the layers compose. The copy's ids at or above the removed user shift down
-// by one; map them back before comparing.
-TEST_P(LazyEquivalence, MaskedExclusionMatchesWithoutUserCopy) {
+/// A without-user run as one GreedyResult: the borrowed prefix, then the
+/// resumed suffix, closed out like a plain solve_greedy (empty when it
+/// stalls).
+GreedyResult as_result(const MultiTaskView& view, const WithoutRun& run) {
+  if (!run.feasible) {
+    return {};
+  }
+  GreedyResult result;
+  result.steps.assign(run.prefix.begin(), run.prefix.end());
+  result.steps.insert(result.steps.end(), run.suffix.begin(), run.suffix.end());
+  for (const auto& step : result.steps) {
+    result.allocation.winners.push_back(step.selected);
+  }
+  std::sort(result.allocation.winners.begin(), result.allocation.winners.end());
+  result.allocation.feasible = true;
+  result.allocation.total_cost = view.cost_of(result.allocation.winners);
+  return result;
+}
+
+// Every user's without-user run, resumed from the recorded main run (lazy,
+// on the shared view), vs a materialized without_user copy (reference scan):
+// crossing both axes in one comparison checks that the layers compose. The
+// copy's ids at or above the removed user shift down by one; map them back
+// before comparing. The early-stopped run (the binary-search rule's) must be
+// a step-for-step prefix of the full one, residuals included, with the same
+// feasibility.
+TEST_P(LazyEquivalence, ResumedWithoutRunsMatchWithoutUserCopy) {
   for (const auto& instance : instances_for(GetParam())) {
     const auto view = MultiTaskView::from_instance(instance);
+    // keep_partial keeps a stalled main run's steps to resume from.
+    const auto main = record_greedy(view, GreedyOptions{.keep_partial = true});
+    const GreedyOptions record{.record_residuals = true};
     for (UserId user = 0; user < static_cast<UserId>(instance.num_users()); ++user) {
-      const auto masked = solve_greedy(view, ViewOverlay::without(user));
+      const auto full = solve_greedy_without(view, main, user, record);
       const auto copied = reference::solve_greedy_scan(instance.without_user(user));
-      test::expect_identical_greedy(masked, copied, [user](UserId reduced) {
+      test::expect_identical_greedy(as_result(view, full), copied, [user](UserId reduced) {
         return reduced >= user ? reduced + 1 : reduced;
       });
+      const auto stopped = solve_greedy_without(view, main, user, record,
+                                                /*stop_once_covered=*/true);
+      EXPECT_EQ(stopped.feasible, full.feasible) << "user " << user;
+      EXPECT_EQ(stopped.prefix.size(), full.prefix.size()) << "user " << user;
+      ASSERT_LE(stopped.suffix.size(), full.suffix.size()) << "user " << user;
+      for (std::size_t s = 0; s < stopped.suffix.size(); ++s) {
+        EXPECT_EQ(stopped.suffix[s].selected, full.suffix[s].selected) << "user " << user;
+        EXPECT_EQ(stopped.suffix[s].ratio, full.suffix[s].ratio) << "user " << user;
+        EXPECT_EQ(stopped.suffix[s].residual_before, full.suffix[s].residual_before)
+            << "user " << user;
+      }
     }
   }
 }
@@ -172,6 +275,69 @@ TEST_P(RewardEquivalence, MechanismOutcomeMatchesReferenceConfiguration) {
                                      reference::run_multi_task_mechanism(instance, config));
     }
   }
+}
+
+/// The critical bid `compute` returns, or nullopt when it rejects the user
+/// with a PreconditionError.
+template <typename Compute>
+std::optional<double> critical_or_rejected(Compute compute) {
+  try {
+    return compute();
+  } catch (const common::PreconditionError&) {
+    return std::nullopt;
+  }
+}
+
+// Critical bids taken from one recorded main run (the mechanism's path) on
+// knife-edge and duplicated instances equal the reference's copied
+// re-solves bit for bit: the binary search for every winner (pivotal ones,
+// the round-0 pick and the last pick among them) and the paper rule for
+// every user, winners and losers alike, on infeasible instances too.
+TEST(ResumedCriticalBids, KnifeEdgeAndTiedInstancesMatchReference) {
+  std::size_t feasible = 0;
+  std::size_t infeasible = 0;
+  std::size_t pivotal = 0;
+  std::size_t non_pivotal = 0;
+  for (std::uint64_t seed = 0; seed < 150; ++seed) {
+    for (const auto& instance :
+         {knife_edge_instance(seed), duplicated(tie_heavy_instance(seed)),
+          duplicated(test::random_multi_task(6, 3, 0.5, seed))}) {
+      const auto view = MultiTaskView::from_instance(instance);
+      // keep_partial keeps a stalled main run's steps, as the standalone
+      // critical_contribution records it.
+      const auto main = record_greedy(view, GreedyOptions{.keep_partial = true});
+      for (UserId user = 0; user < static_cast<UserId>(instance.num_users()); ++user) {
+        EXPECT_EQ(critical_contribution(view, main, user,
+                                        {.rule = CriticalBidRule::kPaperIterationMin}),
+                  reference::critical_contribution(instance, user,
+                                                   CriticalBidRule::kPaperIterationMin))
+            << "seed " << seed << " user " << user;
+      }
+      if (!main.result.allocation.feasible) {
+        ++infeasible;
+        continue;
+      }
+      ++feasible;
+      for (const UserId winner : main.result.allocation.winners) {
+        // On a knife edge the q → PoS → q round trip of a winner's own
+        // declaration can lose her the cover; both sides then reject her.
+        EXPECT_EQ(critical_or_rejected([&] { return critical_contribution(view, main, winner); }),
+                  critical_or_rejected([&] {
+                    return reference::critical_contribution(instance, winner,
+                                                            CriticalBidRule::kBinarySearch);
+                  }))
+            << "seed " << seed << " winner " << winner;
+        const bool alone = reference::solve_greedy_scan(instance.without_user(winner))
+                               .allocation.feasible;
+        ++(alone ? non_pivotal : pivotal);
+      }
+    }
+  }
+  // The sweep must reach every regime it exists for.
+  EXPECT_GT(feasible, 0u);
+  EXPECT_GT(infeasible, 0u);
+  EXPECT_GT(pivotal, 0u);
+  EXPECT_GT(non_pivotal, 0u);
 }
 
 // 100 seeds × 3 instance families = 300 instances through the greedy-layer

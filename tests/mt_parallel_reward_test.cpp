@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "auction/multi_task/mechanism.hpp"
+#include "common/parallel.hpp"
 #include "common/thread_pool.hpp"
 #include "test_util.hpp"
 
@@ -36,6 +37,30 @@ TEST(MtParallelReward, ParallelProbesShareOneViewAcrossBothRules) {
     parallel.reward_workers = common::default_worker_count();
     test::expect_identical_outcome(run_mechanism(instance, serial),
                                    run_mechanism(instance, parallel));
+  }
+}
+
+TEST(MtParallelReward, WorkersReadOneRecordedMainRunConcurrently) {
+  // Every winner's without-i run resumes from the same recorded main run —
+  // its steps, residuals and heap events — read by all pool workers at once.
+  // A race on it would show as a diff against the standalone path, which
+  // records its own main run per call (and as a TSan report under tsan).
+  const auto instance = test::random_multi_task(200, 16, 0.6, 31);
+  const auto view = MultiTaskView::from_instance(instance);
+  const auto main = record_greedy(view);
+  ASSERT_TRUE(main.result.allocation.feasible);
+  const auto& winners = main.result.allocation.winners;
+  for (const auto rule : {CriticalBidRule::kBinarySearch, CriticalBidRule::kPaperIterationMin}) {
+    const RewardOptions options{.rule = rule};
+    const auto shared = common::parallel_map<WinnerReward>(
+        winners.size(),
+        [&](std::size_t index) { return compute_reward(view, main, winners[index], options); },
+        4);
+    for (std::size_t k = 0; k < winners.size(); ++k) {
+      EXPECT_EQ(shared[k].critical_contribution,
+                compute_reward(view, winners[k], options).critical_contribution)
+          << "winner " << winners[k];
+    }
   }
 }
 

@@ -10,7 +10,8 @@
 // the tsan and asan-ubsan presets (which filter on that label) include it.
 // No timing assertions: sanitizer builds are legitimately slow. Work is
 // gated on deterministic counters instead — here, the lazy greedy's heap
-// re-evaluations against the full rescan's exact count, heap allocations of
+// re-evaluations against the full rescan's exact count, the reward phase's
+// resumed without-i runs against full ones, heap allocations of
 // the sharded round's column partition, counted on every thread through the
 // replaced global operator new below, and the single-task fast path's exact
 // re-solves and fallbacks per probe.
@@ -149,6 +150,80 @@ TEST(PerfSmoke, LazyGreedyReevaluationsStayBounded) {
                 << " rescan_evaluations=" << rescan_evaluations << "\n";
       EXPECT_LE(counters.heap_reevaluations * 5, rescan_evaluations)
           << "n=" << n << " seed=" << seed;
+    }
+  }
+}
+
+/// The round_flat traffic shape at test size: task j in cell j, every
+/// user's tasks inside one residue class mod 16, each class task taken with
+/// probability 1/2 (perfbench's and bench/service_load's residue-pure round).
+MultiTaskInstance residue_pure_instance(std::size_t users, std::uint64_t seed) {
+  constexpr std::size_t kTasks = 128;
+  constexpr std::int64_t kGroups = 16;
+  MultiTaskInstance instance;
+  instance.requirement_pos.assign(kTasks, 0.35);
+  common::Rng rng(seed);
+  for (std::size_t i = 0; i < users; ++i) {
+    MultiTaskUserBid bid;
+    bid.cost = rng.uniform(5.0, 25.0);
+    const auto group = static_cast<std::size_t>(rng.uniform_int(0, kGroups - 1));
+    for (std::size_t j = group; j < kTasks; j += kGroups) {
+      if (rng.uniform(0.0, 1.0) < 0.5) {
+        bid.tasks.push_back(static_cast<TaskIndex>(j));
+        bid.pos.push_back(rng.uniform(0.1, 0.5));
+      }
+    }
+    if (bid.tasks.empty()) {
+      bid.tasks.push_back(static_cast<TaskIndex>(group));
+      bid.pos.push_back(rng.uniform(0.1, 0.5));
+    }
+    instance.users.push_back(std::move(bid));
+  }
+  return instance;
+}
+
+TEST(PerfSmoke, ResumedWithoutRunsDoLessThanFullOnes) {
+  // The multi-task reward phase's work gate. Each winner's without-i run
+  // resumes from the main run at her round and stops once her tasks are
+  // covered, so the phase's heap re-evaluations must stay a fixed fraction
+  // of what one full without-i solve per winner makes. Measured ratios
+  // (seeds 1 and 2): 0.42 and 0.37 on the residue-pure shape, 0.69 and 0.67
+  // on the scaling shape; the bounds sit just above them.
+  struct Shape {
+    const char* name;
+    MultiTaskInstance (*make)(std::uint64_t);
+    double max_ratio;
+  };
+  const Shape shapes[] = {
+      {"residue-pure 2000x128", [](std::uint64_t seed) { return residue_pure_instance(2000, seed); },
+       0.45},
+      {"scaling 2000x128",
+       [](std::uint64_t seed) { return bench_shapes::scaling_instance(2000, 128, seed); }, 0.72},
+  };
+  auction::MechanismConfig serial;
+  serial.reward_workers = 1;
+  for (const Shape& shape : shapes) {
+    for (const std::uint64_t seed : {1ull, 2ull}) {
+      const auto instance = shape.make(seed);
+      const obs::ScopedTelemetry telemetry(true);
+      const auto outcome = run_mechanism(instance, serial);
+      ASSERT_TRUE(outcome.allocation.feasible) << shape.name << " seed=" << seed;
+      obs::PhaseCounters full;
+      for (const UserId winner : outcome.allocation.winners) {
+        solve_greedy(instance.without_user(winner), GreedyOptions{.counters = &full});
+      }
+      const auto& resumed = outcome.telemetry.rewards;
+      const double ratio = static_cast<double>(resumed.heap_reevaluations) /
+                           static_cast<double>(full.heap_reevaluations);
+      const double winners = static_cast<double>(outcome.allocation.winners.size());
+      std::cout << "[perf-smoke] without-i runs, " << shape.name << " seed=" << seed
+                << " winners=" << winners << " reevaluations/winner full="
+                << static_cast<double>(full.heap_reevaluations) / winners
+                << " resumed=" << static_cast<double>(resumed.heap_reevaluations) / winners
+                << " rounds/winner full=" << static_cast<double>(full.rounds) / winners
+                << " resumed=" << static_cast<double>(resumed.rounds) / winners
+                << " ratio=" << ratio << "\n";
+      EXPECT_LE(ratio, shape.max_ratio) << shape.name << " seed=" << seed;
     }
   }
 }
